@@ -20,8 +20,9 @@ lives in sibling modules.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple, Union
+from typing import Any, Callable, FrozenSet, Optional, Tuple, Union
 
 from repro.errors import ConstraintTypeError
 
@@ -40,19 +41,15 @@ class CmpOp(enum.Enum):
     GE = ">="
     GT = ">"
 
+    @property
+    def function(self) -> Callable[[Any, Any], bool]:
+        """The comparison as a plain two-argument function (resolved once
+        by callers that apply it in a loop)."""
+        return _CMP_FUNCTIONS[self]
+
     def apply(self, a, b) -> bool:
         """Apply the comparison to two scalar values."""
-        if self is CmpOp.LT:
-            return a < b
-        if self is CmpOp.LE:
-            return a <= b
-        if self is CmpOp.EQ:
-            return a == b
-        if self is CmpOp.NE:
-            return a != b
-        if self is CmpOp.GE:
-            return a >= b
-        return a > b
+        return _CMP_FUNCTIONS[self](a, b)
 
     def flipped(self) -> "CmpOp":
         """The operator with operands swapped (``a <= b`` -> ``b >= a``)."""
@@ -73,6 +70,15 @@ class CmpOp(enum.Enum):
         """Whether the comparison is strict."""
         return self in (CmpOp.LT, CmpOp.GT)
 
+
+_CMP_FUNCTIONS = {
+    CmpOp.LT: operator.lt,
+    CmpOp.LE: operator.le,
+    CmpOp.EQ: operator.eq,
+    CmpOp.NE: operator.ne,
+    CmpOp.GE: operator.ge,
+    CmpOp.GT: operator.gt,
+}
 
 _CMP_FLIP = {
     CmpOp.LT: CmpOp.GT,
@@ -96,28 +102,31 @@ class SetOp(enum.Enum):
     SETEQ = "seteq"                # A = B
     SETNEQ = "setneq"              # A != B
 
+    @property
+    def function(self) -> Callable[[frozenset, frozenset], bool]:
+        """The relation as a plain two-argument function (resolved once
+        by callers that apply it in a loop)."""
+        return _SET_FUNCTIONS[self]
+
     def apply(self, a: frozenset, b: frozenset) -> bool:
         """Apply the relation to two frozensets."""
-        if self is SetOp.DISJOINT:
-            return a.isdisjoint(b)
-        if self is SetOp.OVERLAPS:
-            return not a.isdisjoint(b)
-        if self is SetOp.SUBSET:
-            return a.issubset(b)
-        if self is SetOp.NOT_SUBSET:
-            return not a.issubset(b)
-        if self is SetOp.SUPERSET:
-            return a.issuperset(b)
-        if self is SetOp.NOT_SUPERSET:
-            return not a.issuperset(b)
-        if self is SetOp.SETEQ:
-            return a == b
-        return a != b
+        return _SET_FUNCTIONS[self](a, b)
 
     def flipped(self) -> "SetOp":
         """The relation with operands swapped (``A ⊆ B`` -> ``B ⊇ A``)."""
         return _SET_FLIP[self]
 
+
+_SET_FUNCTIONS = {
+    SetOp.DISJOINT: lambda a, b: a.isdisjoint(b),
+    SetOp.OVERLAPS: lambda a, b: not a.isdisjoint(b),
+    SetOp.SUBSET: lambda a, b: a.issubset(b),
+    SetOp.NOT_SUBSET: lambda a, b: not a.issubset(b),
+    SetOp.SUPERSET: lambda a, b: a.issuperset(b),
+    SetOp.NOT_SUPERSET: lambda a, b: not a.issuperset(b),
+    SetOp.SETEQ: operator.eq,
+    SetOp.SETNEQ: operator.ne,
+}
 
 _SET_FLIP = {
     SetOp.DISJOINT: SetOp.DISJOINT,

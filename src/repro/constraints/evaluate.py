@@ -33,7 +33,9 @@ from repro.errors import ConstraintTypeError
 Bindings = Mapping[str, Iterable[int]]
 Domains = Mapping[str, Domain]
 
-_UNDEFINED = object()
+#: What an undefined aggregate (``min``/``max``/``avg`` of an empty
+#: projection) evaluates to; any comparison involving it is false.
+UNDEFINED = object()
 
 
 def projection_values(ref: AttrRef, elements: Iterable[int], domain: Domain) -> List:
@@ -55,7 +57,7 @@ def projection_set(ref: AttrRef, elements: Iterable[int], domain: Domain) -> fro
 
 def evaluate_aggregate(agg: Agg, elements: Iterable[int], domain: Domain):
     """Evaluate an aggregate over a bound set; undefined aggregates return
-    the internal sentinel, which makes any enclosing comparison false."""
+    :data:`UNDEFINED`, which makes any enclosing comparison false."""
     values = projection_values(agg.arg, elements, domain)
     if agg.func == "count":
         return len(set(values))
@@ -63,7 +65,7 @@ def evaluate_aggregate(agg: Agg, elements: Iterable[int], domain: Domain):
         _require_numeric(agg, values)
         return sum(values)
     if not values:
-        return _UNDEFINED
+        return UNDEFINED
     if agg.func == "min":
         return min(values)
     if agg.func == "max":
@@ -124,7 +126,7 @@ def evaluate_constraint(
     if isinstance(constraint, Comparison):
         left = _scalar_side(constraint.left, bindings, domains)
         right = _scalar_side(constraint.right, bindings, domains)
-        if left is _UNDEFINED or right is _UNDEFINED:
+        if left is UNDEFINED or right is UNDEFINED:
             return False
         return constraint.op.apply(left, right)
     if isinstance(constraint, SetComparison):

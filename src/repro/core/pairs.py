@@ -7,6 +7,15 @@ orders of magnitude" cheaper than the lattice computation); nonetheless
 the checks performed here are metered (``pair_checks``) so the ccc audit
 can confirm that claim on real runs.
 
+Every 2-var constraint has the form ``f(S) op g(T)``: each side is an
+aggregate or projection of one variable.  Each call therefore compiles
+its 2-var constraints once into their two side functions, memoizes each
+side's value per set the first time a check reaches it, and leaves the
+cross product only comparing stored values.  The loop order, the
+per-constraint short-circuit, the ``pair_checks`` count and the check at
+which an evaluation raises are those of evaluating every constraint
+from scratch per pair (:func:`~repro.constraints.evaluate.evaluate_constraint`).
+
 Also provided: existential validity filtering (Definition 3's valid
 S-sets), and phase-2 rule generation ``S => T`` with support/confidence
 for same-domain variables — the second phase of the exploratory
@@ -16,13 +25,19 @@ architecture the paper builds on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.constraints.ast import Constraint, is_onevar, is_twovar
-from repro.constraints.evaluate import evaluate_constraint
+from repro.constraints.ast import Agg, Constraint, is_onevar, is_twovar
+from repro.constraints.evaluate import (
+    UNDEFINED,
+    evaluate_aggregate,
+    evaluate_constraint,
+    projection_set,
+)
 from repro.db.domain import Domain
 from repro.db.stats import OpCounters
 from repro.db.transactions import TransactionDatabase
+from repro.errors import ConstraintTypeError
 from repro.itemsets import Itemset, canonical
 
 
@@ -61,19 +76,16 @@ def form_valid_pairs(
     onevar, twovar = split_constraints(constraints)
     s_survivors = _filter_onevar(s_sets, onevar.get(s_var, []), s_var, domains, counters)
     t_survivors = _filter_onevar(t_sets, onevar.get(t_var, []), t_var, domains, counters)
+    checks = [_compile_twovar(c, s_var, t_var, domains) for c in twovar]
     pairs: List[Tuple[Itemset, Itemset]] = []
     for s0 in s_survivors:
         for t0 in t_survivors:
-            ok = True
-            for constraint in twovar:
+            for check in checks:
                 if counters is not None:
                     counters.pair_checks += 1
-                if not evaluate_constraint(
-                    constraint, {s_var: s0, t_var: t0}, domains
-                ):
-                    ok = False
+                if not check(s0, t0):
                     break
-            if ok:
+            else:
                 pairs.append((s0, t0))
                 if limit is not None and len(pairs) >= limit:
                     return pairs
@@ -103,22 +115,90 @@ def valid_sets_existential(
     )
     if not twovar:
         return own
+    checks = [_compile_twovar(c, var, other_var, domains) for c in twovar]
     survivors: Dict[Itemset, int] = {}
     for candidate, support in own.items():
         for partner in partners:
-            ok = True
-            for constraint in twovar:
+            for check in checks:
                 if counters is not None:
                     counters.pair_checks += 1
-                if not evaluate_constraint(
-                    constraint, {var: candidate, other_var: partner}, domains
-                ):
-                    ok = False
+                if not check(candidate, partner):
                     break
-            if ok:
+            else:
                 survivors[candidate] = support
                 break
     return survivors
+
+
+# ----------------------------------------------------------------------
+# Compiled 2-var checks
+# ----------------------------------------------------------------------
+class _SideValues(dict):
+    """One constraint side's value per bound set, computed on first use."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, elements: Itemset):
+        value = self[elements] = self.compute(elements)
+        return value
+
+
+def _side(expr, domains: Mapping[str, Domain]) -> Tuple[str, _SideValues]:
+    """The variable one side of a 2-var constraint reads, and its memo.
+
+    Both sides of a 2-var constraint mention a variable (with a constant
+    side it would be 1-var), so each is an aggregate (scalar
+    comparisons) or a projection (set comparisons) of a single variable.
+    """
+    if isinstance(expr, Agg):
+        var = expr.arg.var
+        return var, _SideValues(
+            lambda elements: evaluate_aggregate(expr, elements, domains[var])
+        )
+    var = expr.var
+    return var, _SideValues(
+        lambda elements: projection_set(expr, elements, domains[var])
+    )
+
+
+def _compile_twovar(
+    constraint: Constraint,
+    outer_var: str,
+    inner_var: str,
+    domains: Mapping[str, Domain],
+) -> Callable[[Itemset, Itemset], bool]:
+    """``check(outer_set, inner_set)`` deciding one 2-var constraint.
+
+    Sides are evaluated left first, as written, so the first evaluation
+    that raises is the one :func:`evaluate_constraint` would raise at;
+    an undefined aggregate on either side makes the check false.
+    """
+    missing = constraint.variables() - {outer_var, inner_var}
+    if missing:
+        def unbound(outer: Itemset, inner: Itemset) -> bool:
+            raise ConstraintTypeError(
+                f"constraint {constraint} mentions unbound variables "
+                f"{sorted(missing)}"
+            )
+        return unbound
+    left_var, left = _side(constraint.left, domains)
+    __, right = _side(constraint.right, domains)
+    op = constraint.op.function
+    if left_var == outer_var:
+        def check(outer: Itemset, inner: Itemset) -> bool:
+            a = left[outer]
+            b = right[inner]
+            return a is not UNDEFINED and b is not UNDEFINED and op(a, b)
+    else:
+        def check(outer: Itemset, inner: Itemset) -> bool:
+            a = left[inner]
+            b = right[outer]
+            return a is not UNDEFINED and b is not UNDEFINED and op(a, b)
+    return check
 
 
 def _filter_onevar(

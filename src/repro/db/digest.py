@@ -29,5 +29,6 @@ def transactions_digest(transactions) -> str:
 
 
 def dataset_digest(db) -> str:
-    """:func:`transactions_digest` of a whole transaction database."""
-    return transactions_digest(db.transactions)
+    """:func:`transactions_digest` of a whole transaction database (the
+    database's cached :attr:`~repro.db.transactions.TransactionDatabase.digest`)."""
+    return db.digest

@@ -43,16 +43,22 @@ class TransactionDatabase:
         #: Monotonic churn counter: 0 for a freshly built database,
         #: parent + 1 for databases produced by :meth:`append`/:meth:`delete`.
         self.version = 0
+        self._digest: Optional[str] = None
 
     @classmethod
     def _from_normalized(
-        cls, transactions: Tuple[Tuple[int, ...], ...], version: int
+        cls,
+        transactions: Tuple[Tuple[int, ...], ...],
+        version: int,
+        digest: str,
     ) -> "TransactionDatabase":
-        """Internal fast path for churn: transactions already normalized."""
+        """Internal fast path for churn: transactions already normalized
+        and already hashed."""
         db = cls.__new__(cls)
         db._transactions = transactions
         db.stats = ScanStats()
         db.version = version
+        db._digest = digest
         return db
 
     # ------------------------------------------------------------------
@@ -79,6 +85,20 @@ class TransactionDatabase:
         :meth:`append` / :meth:`delete`, which return new databases.
         """
         return self._transactions
+
+    @property
+    def digest(self) -> str:
+        """The content digest (:func:`~repro.db.digest.transactions_digest`).
+
+        Computed on first use, never in the constructor (a database that
+        is only mined never pays for it), then cached: the content is
+        immutable.  Databases made by :meth:`append`/:meth:`delete` carry
+        the digest their delta already computed.  Two threads racing on
+        the first use both compute the same string.
+        """
+        if self._digest is None:
+            self._digest = transactions_digest(self._transactions)
+        return self._digest
 
     def item_universe(self) -> frozenset:
         """All item ids occurring in any transaction."""
@@ -137,12 +157,15 @@ class TransactionDatabase:
         """
         added = tuple(tuple(sorted(set(t))) for t in transactions)
         combined = self._transactions + added
-        new_db = TransactionDatabase._from_normalized(combined, self.version + 1)
+        new_digest = transactions_digest(combined)
+        new_db = TransactionDatabase._from_normalized(
+            combined, self.version + 1, new_digest
+        )
         delta = make_delta(
             self._transactions,
             combined,
-            base_digest=transactions_digest(self._transactions),
-            new_digest=transactions_digest(combined),
+            base_digest=self.digest,
+            new_digest=new_digest,
             added_tids=tuple(range(len(self._transactions), len(combined))),
         )
         return new_db, delta
@@ -169,12 +192,15 @@ class TransactionDatabase:
         survivors = tuple(
             t for tid, t in enumerate(self._transactions) if tid not in drop
         )
-        new_db = TransactionDatabase._from_normalized(survivors, self.version + 1)
+        new_digest = transactions_digest(survivors)
+        new_db = TransactionDatabase._from_normalized(
+            survivors, self.version + 1, new_digest
+        )
         delta = make_delta(
             self._transactions,
             survivors,
-            base_digest=transactions_digest(self._transactions),
-            new_digest=transactions_digest(survivors),
+            base_digest=self.digest,
+            new_digest=new_digest,
             removed_tids=removed_tids,
         )
         return new_db, delta

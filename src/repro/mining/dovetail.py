@@ -120,7 +120,8 @@ class DovetailEngine:
         #: database — same mechanism as checkpoint replay, with a cached
         #: frequency skeleton standing in for the stored count events.
         #: The candidate-set ledger is still metered (the sets *are*
-        #: decided), but no scans or subset tests happen.
+        #: decided), but no scans or subset tests happen, and the
+        #: lattices are built without projected transactions.
         self.support_oracle = support_oracle
         self._series: List[Tuple[JmaxPlan, BoundSeries]] = []
         self._bound_side_done: Dict[str, bool] = {}
@@ -167,10 +168,10 @@ class DovetailEngine:
             if loaded is not None:
                 self._replay = deque(loaded.events)
                 self._replay_snapshot = dict(loaded.counters)
-        lattices, projected = self._build_lattices()
+        lattices = self._build_lattices()
         self._lattices = lattices
 
-        self._run_level1(lattices, projected)
+        self._run_level1(lattices)
         if self.use_reduction:
             self._apply_reductions(lattices)
         disabled = self._setup_jmax(lattices) if self.use_jmax else [
@@ -180,7 +181,6 @@ class DovetailEngine:
         for note in disabled:
             logger.info("jmax series disabled: %s", note)
 
-        del projected  # lattices own (and trim) their transaction lists
         self._level_boundary(lattices)
         if self.dovetail:
             self._run_dovetailed(lattices)
@@ -249,17 +249,23 @@ class DovetailEngine:
     # ------------------------------------------------------------------
     # Setup
     # ------------------------------------------------------------------
-    def _build_lattices(self):
+    def _build_lattices(self) -> Dict[str, ConstrainedLattice]:
         lattices: Dict[str, ConstrainedLattice] = {}
-        projected: Dict[str, List[Tuple[int, ...]]] = {}
         for var, var_plan in self.plan.var_plans.items():
             domain = var_plan.domain
-            projected[var] = [domain.project(t) for t in self.db.transactions]
+            # An oracle-served run has no miss path: every pass is a
+            # skeleton lookup (or a checkpoint replay), so its lattices
+            # hold no transactions and nothing is projected or trimmed.
+            projected = (
+                None
+                if self.support_oracle is not None
+                else [domain.project(t) for t in self.db.transactions]
+            )
             pruning = compile_constraints(var_plan.base_constraints, var, domain)
             lattices[var] = ConstrainedLattice(
                 var=var,
                 elements=domain.elements,
-                transactions=projected[var],
+                transactions=projected,
                 min_count=var_plan.min_count,
                 pruning=pruning,
                 counters=self.counters,
@@ -268,9 +274,9 @@ class DovetailEngine:
                 backend=self.backend,
                 guard=self.guard,
             )
-        return lattices, projected
+        return lattices
 
-    def _run_level1(self, lattices, projected) -> None:
+    def _run_level1(self, lattices) -> None:
         self._record_level_scan(n_active=len(lattices))
         for var, lattice in lattices.items():
             candidates = lattice.candidates()

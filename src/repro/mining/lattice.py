@@ -114,7 +114,10 @@ class ConstrainedLattice:
         :class:`~repro.db.domain.Domain`'s ``elements``, or any iterable
         of ids for plain frequency mining).
     transactions:
-        The domain-projected transactions (tuples of element ids).
+        The domain-projected transactions (tuples of element ids), or
+        ``None`` for a lattice whose supports all come from elsewhere (a
+        support oracle): it then holds no transaction list, and counting
+        against it raises :class:`~repro.errors.ExecutionError`.
     min_count:
         Absolute support threshold.
     pruning:
@@ -131,7 +134,7 @@ class ConstrainedLattice:
         self,
         var: str,
         elements: Sequence[int],
-        transactions: Sequence[Tuple[int, ...]],
+        transactions: Optional[Sequence[Tuple[int, ...]]],
         min_count: int,
         pruning: Optional[CompiledPruning] = None,
         counters: Optional[OpCounters] = None,
@@ -146,7 +149,9 @@ class ConstrainedLattice:
         self.guard = resolve_guard(guard)
         self.var = var
         self.elements: Tuple[int, ...] = tuple(elements)
-        self.transactions: List[Tuple[int, ...]] = list(transactions)
+        self._transactions: Optional[List[Tuple[int, ...]]] = (
+            None if transactions is None else list(transactions)
+        )
         self.min_count = min_count
         self.pruning = pruning if pruning is not None else CompiledPruning()
         self.counters = counters if counters is not None else OpCounters()
@@ -181,6 +186,16 @@ class ConstrainedLattice:
         self._prev_ranked: Set[RankTuple] = set()
         self._pending: Optional[List[Itemset]] = None  # canonical candidates awaiting counts
         self._pending_level = 0
+
+    @property
+    def transactions(self) -> List[Tuple[int, ...]]:
+        """The (trimmed) projected transactions counting passes read."""
+        if self._transactions is None:
+            raise ExecutionError(
+                f"lattice {self.var!r} holds no transactions (its supports "
+                "come from a support oracle); it cannot count"
+            )
+        return self._transactions
 
     # ------------------------------------------------------------------
     # Stepper interface
@@ -383,9 +398,11 @@ class ConstrainedLattice:
             self.counters.record_check(1, n_elements)
 
     def _trim_transactions(self) -> None:
+        if self._transactions is None:
+            return
         keep = frozenset(self.level1_supports)
-        self.transactions = [
-            tuple(i for i in t if i in keep) for t in self.transactions
+        self._transactions = [
+            tuple(i for i in t if i in keep) for t in self._transactions
         ]
 
     def _freeze_order(self) -> None:

@@ -10,9 +10,9 @@ cache has no such second line of defense: a stale or mis-keyed entry is
 returned verbatim.  The fingerprints here therefore close over every
 input that can change the answer:
 
-* ``dataset_fingerprint`` — the transaction content digest, reusing
-  :func:`repro.runtime.checkpoint.transactions_digest` (sha256 over the
-  ordered transaction list);
+* ``dataset_fingerprint`` — the transaction content digest
+  (:func:`repro.db.digest.transactions_digest`, sha256 over the ordered
+  transaction list), which each database computes once and caches;
 * ``domain_fingerprint`` — a domain's name, element universe, identity
   values, projection kind, and the full item catalog (every attribute
   column), so editing one price in ``itemInfo`` invalidates entries;
@@ -39,7 +39,6 @@ from typing import Any, Dict
 from repro.core.query import CFQ
 from repro.db.domain import Domain
 from repro.db.transactions import TransactionDatabase
-from repro.runtime.checkpoint import transactions_digest
 
 #: Engine options that change the answer artifacts (counters included)
 #: and therefore participate in the result key; everything else —
@@ -54,14 +53,14 @@ def _sha256(payload: str) -> str:
 class _IdentityMemo:
     """Bounded ``id() -> (pinned object, digest)`` memo.
 
-    Warm servings would otherwise re-hash an unchanged database (or
-    catalog) on every lookup — the dominant cost of a cache hit.  The
-    memo keeps a strong reference to each memoized object, so an id can
-    never be recycled by a different object while its digest is live
-    (the same invariant :class:`~repro.mining.backends.VerticalBackend`
-    relies on); both classes build their content immutably at
-    construction, which is what makes identity a sound proxy for
-    content *for the same object*.
+    Warm servings would otherwise re-hash an unchanged domain catalog on
+    every lookup — the dominant cost of a cache hit.  The memo keeps a
+    strong reference to each memoized object, so an id can never be
+    recycled by a different object while its digest is live (the same
+    invariant :class:`~repro.mining.backends.VerticalBackend` relies
+    on); a domain builds its content immutably at construction, which
+    is what makes identity a sound proxy for content *for the same
+    object*.
 
     Thread safety: the memo dict is shared process-wide and the query
     server hashes from many worker threads at once.  An unlocked
@@ -93,15 +92,13 @@ class _IdentityMemo:
         return digest
 
 
-_DATASET_MEMO = _IdentityMemo()
 _DOMAIN_MEMO = _IdentityMemo()
 
 
 def dataset_fingerprint(db: TransactionDatabase) -> str:
-    """Content digest of the transaction database (order-sensitive)."""
-    return _DATASET_MEMO.digest(
-        db, lambda: transactions_digest(db.transactions)
-    )
+    """Content digest of the transaction database (order-sensitive),
+    computed once per database and cached on it."""
+    return db.digest
 
 
 def domain_fingerprint(domain: Domain) -> str:

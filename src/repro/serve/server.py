@@ -34,7 +34,8 @@ timings).
 in ``docs/server.md``):
 
 * level 0 — server structures: flight table, coalescer, the server's
-  own state lock (queue depth, dataset swap);
+  own state lock (queue depth, dataset swap, document stores), the HTTP
+  front-end's open-connection set;
 * level 1 — ``LRUCache`` tier locks (result / skeleton / matrix);
 * level 2 — ``CacheStats`` lock, ``MetricsRegistry`` lock;
 * level 3 — ``EventJournal`` lock.
@@ -46,6 +47,7 @@ No lock is ever held across query execution; levels 2–3 are leaf locks
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -126,10 +128,16 @@ class _Request:
     """One admitted query, parsed and fingerprinted."""
 
     __slots__ = (
-        "cfq", "options", "defaulted", "tenant", "profile", "key", "query_fp",
+        "db", "cfq", "options", "defaulted", "tenant", "profile", "key",
+        "query_fp",
     )
 
-    def __init__(self, cfq, options, defaulted, tenant, profile, key, query_fp):
+    def __init__(
+        self, db, cfq, options, defaulted, tenant, profile, key, query_fp
+    ):
+        #: The dataset version the request was admitted against: its key
+        #: and fingerprints are computed on it, and it is what executes.
+        self.db = db
         self.cfq = cfq
         self.options = options
         #: Options with optimizer defaults filled in — the coalescing
@@ -170,7 +178,9 @@ class QueryServer:
         are served from a content-addressed cache of the finished
         ``answer`` document and its JSON bytes.  Safe by construction:
         the key is the full :func:`result_key` (dataset + query +
-        options), and only complete answers are cached.
+        options), and only complete answers are cached.  Entries are
+        tagged with their dataset fingerprint and dropped when
+        :meth:`apply_delta` supersedes that version.
     default_minsup:
         Support threshold for queries that set none.
     backend:
@@ -233,6 +243,10 @@ class QueryServer:
         report = self.service.apply_delta(new_db, delta, **kwargs)
         with self._state_lock:
             self._db = new_db
+        # The superseded version's documents can never hit again (their
+        # keys carry its fingerprint); one rendered after the swap is
+        # never stored (``_store_document``).
+        self._docs.invalidate_tag(delta.base_digest)
         return report
 
     # ------------------------------------------------------------------
@@ -355,6 +369,7 @@ class QueryServer:
             {name: options.get(name) for name in RESULT_OPTIONS}
         )
         return _Request(
+            db=db,
             cfq=cfq,
             options=dict(options),
             defaulted=defaulted,
@@ -368,7 +383,7 @@ class QueryServer:
     # Execution: fast path → single-flight → coalescer
     # ------------------------------------------------------------------
     def _execute(self, request: _Request) -> Tuple[int, Dict[str, Any]]:
-        db = self.db
+        db = request.db
         start = time.perf_counter()
         cached = self._docs.get(request.key)
         if cached is not None:
@@ -529,12 +544,28 @@ class QueryServer:
         if cached is None:
             answer = answer_document(result)
             answer_json = json.dumps(answer)
-            self._docs.put(request.key, (answer, answer_json), len(answer_json))
+            self._store_document(request, answer, answer_json)
         else:
             answer, answer_json = cached
         body["answer"] = answer
         body["_answer_json"] = answer_json
         return 200, body
+
+    def _store_document(
+        self, request: _Request, answer: Dict[str, Any], answer_json: str
+    ) -> None:
+        """Cache a rendered answer under its dataset version's tag —
+        unless :meth:`apply_delta` has already superseded that version
+        (and so invalidated its tag), which the state lock orders."""
+        with self._state_lock:
+            if request.db is not self._db:
+                return
+            self._docs.put(
+                request.key,
+                (answer, answer_json),
+                len(answer_json),
+                tag=dataset_fingerprint(request.db),
+            )
 
     # ------------------------------------------------------------------
     # Introspection endpoints
@@ -633,7 +664,6 @@ class _PooledHTTPServer(HTTPServer):
     """``http.server`` with connections handled on a bounded
     :class:`ThreadPoolExecutor` instead of a thread per connection."""
 
-    daemon_threads = True
     # 404s on unknown error-body codes aside, HTTP-level failures should
     # never kill the acceptor thread.
     allow_reuse_address = True
@@ -644,8 +674,12 @@ class _PooledHTTPServer(HTTPServer):
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
+        self._connections: set = set()
+        self._connections_lock = threading.Lock()
 
     def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
         self._executor.submit(self._work, request, client_address)
 
     def _work(self, request, client_address) -> None:
@@ -654,11 +688,28 @@ class _PooledHTTPServer(HTTPServer):
         except Exception:
             self.handle_error(request, client_address)
         finally:
+            with self._connections_lock:
+                self._connections.discard(request)
             self.shutdown_request(request)
 
     def server_close(self) -> None:
+        """Close the listener, end every open connection, and wait for
+        the handler pool.
+
+        A handler blocks reading its connection's next request for as
+        long as the client keeps an idle keep-alive connection open, and
+        interpreter exit joins pool threads — so without the socket
+        shutdowns a single idle client would keep the process alive.
+        """
         super().server_close()
-        self._executor.shutdown(wait=False)
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the handler closed it meanwhile
+        self._executor.shutdown(wait=True)
 
 
 class ServerHandle:

@@ -133,6 +133,22 @@ def test_stepper_protocol_errors(market_db):
         ConstrainedLattice("S", (1,), [], 0)
 
 
+def test_lattice_without_transactions_steps_but_cannot_count():
+    """An oracle-served lattice holds no transactions: supports fed to
+    absorb() drive it as usual, but a count against it raises instead
+    of counting an empty list to zero supports."""
+    lattice = ConstrainedLattice("S", (1, 2, 3), None, 2)
+    lattice.candidates()
+    lattice.absorb({(1,): 3, (2,): 2, (3,): 1})
+    assert lattice.level1_supports == {1: 3, 2: 2}
+    assert lattice.candidates() == [(1, 2)]
+    with pytest.raises(ExecutionError, match="holds no transactions"):
+        lattice.transactions
+    lattice = ConstrainedLattice("S", (1, 2, 3), None, 2)
+    with pytest.raises(ExecutionError, match="holds no transactions"):
+        lattice.count_and_absorb()
+
+
 def test_late_filter_installation_rejected(market_db):
     lattice = ConstrainedLattice("S", tuple(range(1, 7)), market_db.transactions, 2)
     lattice.count_and_absorb()  # level 1

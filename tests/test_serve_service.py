@@ -13,7 +13,8 @@ from repro.datagen.workloads import quickstart_workload
 from repro.db.catalog import ItemCatalog
 from repro.db.domain import Domain
 from repro.db.transactions import TransactionDatabase
-from repro.errors import RunInterrupted
+from repro.errors import ExecutionError, RunInterrupted
+from repro.mining.dovetail import DovetailEngine
 from repro.serve import (
     QueryService,
     dataset_fingerprint,
@@ -177,6 +178,54 @@ def test_single_execute_falls_back_cold_when_skeleton_too_tight(workload):
     service.prepare(workload.db, [workload.cfq(minsup=0.06)])
     result = service.execute(workload.db, workload.cfq(minsup=0.02))
     assert result.cache_info["source"] == "cold"
+
+
+@pytest.fixture
+def project_calls(monkeypatch):
+    """Every ``Domain.project`` call (one per transaction projected)."""
+    calls = []
+    original = Domain.project
+
+    def counting(self, transaction):
+        calls.append(transaction)
+        return original(self, transaction)
+
+    monkeypatch.setattr(Domain, "project", counting)
+    return calls
+
+
+def test_skeleton_served_runs_project_no_transactions(workload, project_calls):
+    """Every pass of a skeleton-served run is a skeleton lookup, so the
+    engine neither projects nor holds a transaction (a cold run projects
+    every transaction once per variable)."""
+    service = QueryService()
+    cfq = workload.cfq()
+    service.prepare(workload.db, [cfq])
+    project_calls.clear()
+    single = service.execute(workload.db, cfq)
+    batch = service.execute_batch(
+        workload.db, [workload.cfq(minsup=0.05), workload.cfq(minsup=0.03)]
+    )
+    assert single.cache_info["source"] == "skeleton"
+    assert [item.source for item in batch.items] == ["skeleton", "skeleton"]
+    assert project_calls == []
+    CFQOptimizer(cfq).execute(workload.db)
+    assert len(project_calls) == 2 * len(workload.db)
+
+
+def test_skeleton_served_lattices_cannot_count(workload):
+    service = QueryService()
+    cfq = workload.cfq()
+    service.prepare(workload.db, [cfq])
+    oracle = service._existing_oracle(workload.db, cfq)
+    assert oracle is not None
+    engine = DovetailEngine(
+        workload.db, CFQOptimizer(cfq).plan(workload.db), support_oracle=oracle
+    )
+    engine.run()
+    for lattice in engine._lattices.values():
+        with pytest.raises(ExecutionError, match="holds no transactions"):
+            lattice.transactions
 
 
 # ----------------------------------------------------------------------
