@@ -82,9 +82,15 @@ def run_strategy(
     :class:`~repro.serve.QueryService` (result cache, then skeleton
     oracle, then cold) — the serving-workload benchmarks use this to
     measure cold-vs-warm wall time under identical instrumentation.
+
+    Every strategy counts with the ``hybrid`` backend unless ``backend``
+    names another: ``cost`` weights ``subset_tests``, whose unit is the
+    counting kernel's, so the paper-figure tables compare strategies in
+    one unit.
     """
     if guard is None and deadline is not None:
         guard = RunGuard(deadline_seconds=deadline)
+    options.setdefault("backend", "hybrid")
     counters = OpCounters()
     tracer = Tracer() if trace else None
     status, trip = "complete", None
@@ -92,7 +98,8 @@ def run_strategy(
     if kind == "apriori_plus":
         try:
             result = apriori_plus(
-                db, cfq, counters=counters, tracer=tracer, guard=guard
+                db, cfq, counters=counters, tracer=tracer, guard=guard,
+                backend=options["backend"],
             )
         except RunInterrupted as exc:
             result = AprioriPlusResult(

@@ -98,12 +98,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print the execution plan and operation counts")
     query.add_argument("--baseline", action="store_true",
                        help="also run Apriori+ and report the speedup")
-    query.add_argument("--backend", default="hybrid", metavar="BACKEND",
+    query.add_argument("--backend", default="bitmap", metavar="BACKEND",
                        help="support-counting backend: one of "
                        f"{', '.join(sorted(BACKENDS))}, or "
                        "'parallel:<workers>[:<kernel>]' — e.g. "
                        "'parallel:4:bitmap' shards the vectorized bitmap "
-                       "kernel (default: hybrid)")
+                       "kernel (default: bitmap, over the database's "
+                       "cached bitmap index)")
     query.add_argument("--workers", type=int, default=None,
                        help="worker processes for '--backend parallel' "
                        "(default: up to 4, bounded by the visible CPUs)")
@@ -157,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--seed", type=int, default=7)
     batch.add_argument("--pairs", type=int, default=3,
                        help="how many valid pairs to print per query")
-    batch.add_argument("--backend", default="hybrid", metavar="BACKEND",
+    batch.add_argument("--backend", default="bitmap", metavar="BACKEND",
                        help="support-counting backend (as in 'query')")
     batch.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="also persist full result artifacts in DIR")
@@ -267,9 +268,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="memory result-cache capacity (default 64)")
     serve.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="persist results under DIR (the warm disk tier)")
-    serve.add_argument("--backend", default="hybrid", metavar="BACKEND",
+    serve.add_argument("--backend", default="bitmap", metavar="BACKEND",
                        help=f"counting backend ({', '.join(sorted(BACKENDS))}; "
-                       "default hybrid)")
+                       "default bitmap)")
     serve.add_argument("--journal-out", metavar="PATH", default=None,
                        help="append serving events to PATH as JSON lines")
 
@@ -442,7 +443,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         else:
             from repro.mining.aprioriplus import apriori_plus
 
-            baseline = apriori_plus(workload.db, cfq)
+            baseline = apriori_plus(workload.db, cfq, backend=backend)
             speedup = baseline.counters.cost() / result.counters.cost()
             print(f"op-cost speedup over Apriori+: {speedup:.2f}x")
     if args.explain:
@@ -791,7 +792,7 @@ def _build_server(
     queue_limit: int = 64,
     cache_entries: int = 64,
     cache_dir: Optional[str] = None,
-    backend_name: str = "hybrid",
+    backend_name: str = "bitmap",
     journal_path: Optional[str] = None,
 ):
     """A QueryServer over the quickstart workload (serve/replay share it)."""

@@ -20,6 +20,7 @@ types of its items).
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.db.catalog import AttrValue, ItemCatalog
@@ -85,6 +86,13 @@ class Domain:
     def is_derived(self) -> bool:
         """Whether transactions project through an item->element mapping."""
         return self._item_to_element is not None
+
+    @property
+    def item_to_element(self) -> Optional[Mapping[int, int]]:
+        """A derived domain's item -> element mapping (read-only);
+        ``None`` for an item domain, whose elements are the items."""
+        mapping = self._item_to_element
+        return None if mapping is None else MappingProxyType(mapping)
 
     def project(self, transaction: Iterable[int]) -> Tuple[int, ...]:
         """Project a raw transaction onto this domain's elements, sorted."""

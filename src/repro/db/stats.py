@@ -480,9 +480,10 @@ class BitmapStats:
 
     One :class:`BitmapLevelStats` per counting pass, plus matrix-build
     accounting: ``builds`` counts actual packings (content-digest cache
-    misses) and ``cache_hits`` counts passes served from a cached
-    matrix, so tests can assert that equal-content transaction lists
-    share one build.  Shaped like :class:`ParallelStats` (``levels`` +
+    misses, or a database index a pass had to pack) and ``cache_hits``
+    counts passes served from an existing matrix, so tests can assert
+    that equal-content transaction lists share one build.  Shaped like
+    :class:`ParallelStats` (``levels`` +
     ``as_dict`` + ``summary``) so ``--explain`` and the run report's
     backend-stats block render it through the same generic hook.
     """

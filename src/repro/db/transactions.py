@@ -8,7 +8,7 @@ strategies use it so the dovetailing experiments can report scan savings.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.db.delta import DatasetDelta, make_delta
 from repro.db.digest import transactions_digest
@@ -44,6 +44,8 @@ class TransactionDatabase:
         #: parent + 1 for databases produced by :meth:`append`/:meth:`delete`.
         self.version = 0
         self._digest: Optional[str] = None
+        #: packed bitmap indexes by representation (numpy or big-int)
+        self._bitmaps: Dict[bool, object] = {}
 
     @classmethod
     def _from_normalized(
@@ -59,6 +61,7 @@ class TransactionDatabase:
         db.stats = ScanStats()
         db.version = version
         db._digest = digest
+        db._bitmaps = {}
         return db
 
     # ------------------------------------------------------------------
@@ -99,6 +102,34 @@ class TransactionDatabase:
         if self._digest is None:
             self._digest = transactions_digest(self._transactions)
         return self._digest
+
+    def bitmap(self, use_numpy: Optional[bool] = None):
+        """The per-item TID bitmap index of the transactions.
+
+        A :class:`~repro.mining.bitmap.BitmapMatrix` packed by
+        :func:`~repro.mining.bitmap.build_bitmap` (``use_numpy`` picks
+        the representation, numpy when available by default).  Like
+        :attr:`digest` it is built on first use, never in the
+        constructor, and then kept: the content is immutable.  It is
+        published only once complete, so a concurrent reader sees no
+        index or a whole one; two threads racing on the first use both
+        pack the same matrix.
+        """
+        from repro.mining.bitmap import HAVE_NUMPY, build_bitmap
+
+        kind = HAVE_NUMPY if use_numpy is None else bool(use_numpy)
+        bitmap = self._bitmaps.get(kind)
+        if bitmap is None:
+            bitmap = build_bitmap(self._transactions, use_numpy=kind)
+            self._bitmaps[kind] = bitmap
+        return bitmap
+
+    def has_bitmap(self, use_numpy: Optional[bool] = None) -> bool:
+        """Whether :meth:`bitmap` has packed this representation yet."""
+        from repro.mining.bitmap import HAVE_NUMPY
+
+        kind = HAVE_NUMPY if use_numpy is None else bool(use_numpy)
+        return kind in self._bitmaps
 
     def item_universe(self) -> frozenset:
         """All item ids occurring in any transaction."""

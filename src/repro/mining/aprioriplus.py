@@ -16,8 +16,13 @@ from repro.core.query import CFQ
 from repro.db.stats import OpCounters
 from repro.db.transactions import TransactionDatabase
 from repro.errors import RunInterrupted
+from repro.mining.backends import backend_scope, make_backend
 from repro.mining.itemsets import Itemset
-from repro.mining.lattice import ConstrainedLattice, LatticeResult
+from repro.mining.lattice import (
+    ConstrainedLattice,
+    LatticeResult,
+    counting_source,
+)
 from repro.obs.trace import resolve_tracer
 from repro.runtime.guard import resolve_guard
 
@@ -75,31 +80,39 @@ def apriori_plus(
     max_level: Optional[int] = None,
     tracer=None,
     guard=None,
+    backend=None,
 ) -> AprioriPlusResult:
     """Run the Apriori+ baseline for a CFQ.
 
     The mining phase ignores every constraint; each variable's lattice
-    runs over its full domain, paying one scan per level.  A tripped
-    ``guard`` raises :class:`~repro.errors.RunInterrupted` whose
-    ``partial`` payload maps each variable to the levels it completed
-    (variables not yet started map to empty results).
+    runs over its full domain, paying one scan per level.  ``backend``
+    names the counting backend (see :mod:`repro.mining.backends`); as in
+    :class:`~repro.mining.dovetail.DovetailEngine`, unnamed means bitmap
+    over the database's index.  A tripped ``guard`` raises
+    :class:`~repro.errors.RunInterrupted` whose ``partial`` payload maps
+    each variable to the levels it completed (variables not yet started
+    map to empty results).
     """
     tracer = resolve_tracer(tracer)
     guard = resolve_guard(guard).start()
     counters = counters if counters is not None else OpCounters()
+    backend = make_backend("bitmap" if backend is None else backend)
     lattices: Dict[str, LatticeResult] = {}
     cap = max_level if max_level is not None else cfq.max_level
-    with tracer.span("aprioriplus.run", query=str(cfq)):
+    with tracer.span(
+        "aprioriplus.run", query=str(cfq),
+        backend=getattr(backend, "name", type(backend).__name__),
+    ), backend_scope(backend):
         for var in cfq.variables:
             domain = cfq.domains[var]
-            projected = [domain.project(t) for t in db.transactions]
             lattice = ConstrainedLattice(
                 var=var,
                 elements=domain.elements,
-                transactions=projected,
+                transactions=counting_source(backend, db, domain),
                 min_count=db.min_count(cfq.minsup_for(var)),
                 counters=counters,
                 max_level=cap,
+                backend=backend,
                 guard=guard,
             )
             try:

@@ -19,7 +19,9 @@ Five are provided (and compared in the backend ablation benchmark):
     Vectorized vertical counting: per-item TID bitmaps packed as numpy
     uint64 rows, candidate support = popcount of row-AND intersections,
     whole candidate batches counted as matrix ops
-    (:mod:`repro.mining.bitmap`).
+    (:mod:`repro.mining.bitmap`).  The default of the CFQ engines, which
+    hand it each domain's view of the database's cached bitmap index
+    instead of a projected transaction list.
 ``ParallelBackend``
     Transaction-sharded counting: the transaction list is split into N
     contiguous shards, each counted with the hybrid or bitmap kernel

@@ -18,10 +18,17 @@ handful of numpy array ops:
   expansions (``popcount(a & b)`` is the dot product of the rows' 0/1
   vectors; see :func:`_try_pairs_gemm` for the exactness argument).
 
-Matrices are built once per transaction-list *content* and cached by
-digest (the same scheme as
-:class:`~repro.mining.backends.VerticalBackend`'s TID-list cache), so
-the per-level cost is only the matrix ops.
+The cold CFQ engines count against one matrix per *database*:
+:meth:`~repro.db.transactions.TransactionDatabase.bitmap` packs the raw
+transactions on the first count and keeps the result for the life of
+the (immutable) database, and a :class:`DomainIndex` hands each lattice
+its domain's view of it — item domains read the database's rows as they
+are, a derived domain ORs its items' rows into one row per element — so
+nothing is projected or trimmed per query.  Transaction lists (the
+named list path, shards, skeleton builds) are packed once per *content*
+and cached by digest (the same scheme as
+:class:`~repro.mining.backends.VerticalBackend`'s TID-list cache).
+Either way the per-level cost is only the matrix ops.
 
 Metering semantics (answer-meaningful, shard-additive)
 ------------------------------------------------------
@@ -55,7 +62,7 @@ from __future__ import annotations
 
 import time
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.db.stats import BitmapStats, OpCounters
 from repro.errors import ExecutionError
@@ -117,7 +124,7 @@ class BitmapMatrix:
     """
 
     __slots__ = ("kind", "n_transactions", "n_words", "item_index",
-                 "matrix", "masks", "row_lookup", "bits_f32",
+                 "matrix", "masks", "row_lookup", "row_supports",
                  "n_physical", "tid_phys")
 
     def __init__(self, kind, n_transactions, n_words,
@@ -130,8 +137,8 @@ class BitmapMatrix:
         self.masks = masks
         #: lazy item-id -> row translation array (False once found unusable)
         self.row_lookup = None
-        #: lazy float32 bit expansion of ``matrix`` for the Gram kernel
-        self.bits_f32 = None
+        #: lazy per-row popcounts: the supports a level-1 batch reads
+        self.row_supports = None
         #: physical bit positions in use (>= n_transactions once deltas
         #: have punched holes; fresh builds are dense)
         self.n_physical = n_transactions
@@ -150,6 +157,8 @@ def build_bitmap(
 
     ``use_numpy`` forces a representation (the property suite
     cross-checks the two); the default picks numpy when available.
+    Rows are ordered by item id; the numpy packing is vectorized
+    (:func:`_pack`).
     """
     if use_numpy is None:
         use_numpy = HAVE_NUMPY
@@ -167,23 +176,52 @@ def build_bitmap(
             for item in transaction:
                 masks[item] = masks.get(item, 0) | bit
         return BitmapMatrix("int", n, n_words, masks=masks)
-    items = sorted({i for t in transactions for i in t})
-    item_index = {item: row for row, item in enumerate(items, start=1)}
-    matrix = _np.zeros((len(items) + 1, n_words), dtype=_np.uint64)
-    rows: List[int] = []
-    tids: List[int] = []
-    for tid, transaction in enumerate(transactions):
-        for item in transaction:
-            rows.append(item_index[item])
-            tids.append(tid)
-    if rows:
-        row_vec = _np.asarray(rows, dtype=_np.intp)
-        tid_vec = _np.asarray(tids, dtype=_np.uint64)
-        word_vec = (tid_vec >> _np.uint64(6)).astype(_np.intp)
-        bit_vec = _np.uint64(1) << (tid_vec & _np.uint64(63))
-        _np.bitwise_or.at(matrix, (row_vec, word_vec), bit_vec)
-    return BitmapMatrix("numpy", n, n_words, item_index=item_index,
-                        matrix=matrix)
+    items = sorted(set(chain.from_iterable(transactions)))
+    bitmap = BitmapMatrix(
+        "numpy", n, n_words,
+        item_index={item: row for row, item in enumerate(items, start=1)},
+        matrix=_np.zeros((len(items) + 1, n_words), dtype=_np.uint64),
+    )
+    _pack(bitmap, transactions)
+    return bitmap
+
+
+#: Transactions packed per :func:`_pack` step: bounds its temporary
+#: arrays to a few MB (about 11 MB at 10 items per transaction) whatever
+#: the database size.
+_PACK_CHUNK = 8192
+
+
+def _pack(bitmap, transactions, first_bit: int = 0) -> None:
+    """Set the bits of ``transactions`` in ``bitmap.matrix`` in place.
+
+    Transaction ``j`` sets bit ``first_bit + j`` in the row of each of
+    its items (every item must already have a row).  Each chunk is
+    flattened with ``numpy.fromiter``, its item ids translated to rows
+    through :func:`_translate_rows`, and its bits OR-ed into the matrix
+    by one ``bitwise_or.at`` over flat cell indices — no Python object
+    per item occurrence.
+    """
+    cells = bitmap.matrix.reshape(-1)  # a view: the matrix is C-contiguous
+    n_words = bitmap.matrix.shape[1]
+    for start in range(0, len(transactions), _PACK_CHUNK):
+        chunk = transactions[start:start + _PACK_CHUNK]
+        lengths = _np.fromiter(map(len, chunk), dtype=_np.intp,
+                               count=len(chunk))
+        flat = _np.fromiter(chain.from_iterable(chunk), dtype=_np.int64,
+                            count=int(lengths.sum()))
+        if not len(flat):
+            continue
+        tids = _np.repeat(
+            _np.arange(first_bit + start, first_bit + start + len(chunk),
+                       dtype=_np.int64),
+            lengths,
+        )
+        _np.bitwise_or.at(
+            cells,
+            _translate_rows(bitmap, flat) * n_words + (tids >> 6),
+            _np.left_shift(_np.uint64(1), (tids & 63).astype(_np.uint64)),
+        )
 
 
 def update_bitmap(
@@ -263,27 +301,80 @@ def update_bitmap(
             )
             # Row 0 (the reserved all-zero row) is unaffected by &= ~clear.
             matrix &= ~clear
-        rows: List[int] = []
-        positions: List[int] = []
-        for offset, transaction in enumerate(added):
-            p = bitmap.n_physical + offset
-            for item in transaction:
-                rows.append(item_index[item])
-                positions.append(p)
-        if rows:
-            row_vec = _np.asarray(rows, dtype=_np.intp)
-            pos_vec = _np.asarray(positions, dtype=_np.uint64)
-            word_vec = (pos_vec >> _np.uint64(6)).astype(_np.intp)
-            bit_vec = _np.uint64(1) << (pos_vec & _np.uint64(63))
-            _np.bitwise_or.at(matrix, (row_vec, word_vec), bit_vec)
         out = BitmapMatrix(
             "numpy", len(new_tid_phys), n_words,
             item_index=item_index, matrix=matrix,
         )
+        _pack(out, added, first_bit=bitmap.n_physical)
     out.n_physical = n_physical
     if removed or phys is not None:
         out.tid_phys = new_tid_phys
     return out
+
+
+def domain_view(bitmap: BitmapMatrix, domain) -> BitmapMatrix:
+    """``bitmap`` — a database's per-item rows — as ``domain`` sees it.
+
+    An item domain's elements are item ids and a lattice only ever asks
+    for its own elements, so the database's rows serve as they are (no
+    copy).  A derived domain (:func:`~repro.db.domain.derived_type_domain`)
+    gets one row per element: the OR of the rows of the items mapping to
+    it, i.e. the transactions whose projection contains the element.
+    """
+    mapping = domain.item_to_element
+    if mapping is None:
+        return bitmap
+    if bitmap.kind == "int":
+        masks: Dict[int, int] = {}
+        for item, element in mapping.items():
+            mask = bitmap.masks.get(item)
+            if mask:
+                masks[element] = masks.get(element, 0) | mask
+        view = BitmapMatrix("int", bitmap.n_transactions, bitmap.n_words,
+                            masks=masks)
+    else:
+        members: Dict[int, list] = {}
+        for item, element in mapping.items():
+            row = bitmap.item_index.get(item)
+            if row is not None:
+                members.setdefault(element, []).append(row)
+        elements = sorted(members)
+        matrix = _np.zeros((len(elements) + 1, bitmap.matrix.shape[1]),
+                           dtype=_np.uint64)
+        for row, element in enumerate(elements, start=1):
+            _np.bitwise_or.reduce(bitmap.matrix[members[element]], axis=0,
+                                  out=matrix[row])
+        view = BitmapMatrix(
+            "numpy", bitmap.n_transactions, bitmap.n_words,
+            item_index={e: row for row, e in enumerate(elements, start=1)},
+            matrix=matrix,
+        )
+    view.n_physical = bitmap.n_physical
+    view.tid_phys = bitmap.tid_phys
+    return view
+
+
+class DomainIndex:
+    """What a lattice counts against on the bitmap backend's index path:
+    one domain's view of a database's bitmap index.
+
+    Making one packs nothing.  The first count resolves it
+    (:meth:`BitmapBackend.index_matrix`), packing the database's index
+    if no earlier count did, and the view is kept for the rest of the
+    run.  ``len()`` is the database's transaction count, so scan
+    accounting reads it exactly like a projected list.
+    """
+
+    __slots__ = ("db", "domain", "view")
+
+    def __init__(self, db, domain):
+        self.db = db
+        self.domain = domain
+        #: the resolved view (``None`` until the first count)
+        self.view: Optional[BitmapMatrix] = None
+
+    def __len__(self) -> int:
+        return len(self.db)
 
 
 def bitmap_probe_cost(
@@ -325,11 +416,18 @@ def count_with_bitmap(
 
 
 #: Eligibility bounds for the level-2 Gram-matrix kernel (see
-#: :func:`_count_pairs_gemm`): the fp32 accumulator stays exact only
-#: while per-pair popcounts cannot exceed 2**24, and the bit-expanded
-#: operand is capped so a huge dataset cannot balloon memory.
+#: :func:`_try_pairs_gemm`): the fp32 accumulator stays exact only
+#: while per-pair popcounts cannot exceed 2**24, and the float32
+#: expansion of the rows one batch references is capped so a huge
+#: dataset cannot balloon memory.
 _GEMM_MAX_BITS = 1 << 24
-_GEMM_MAX_EXPANDED_BYTES = 64 << 20
+_GEMM_MAX_EXPANDED_BYTES = 8 << 20
+
+#: Bytes of the gather kernel's two work buffers together (see
+#: :func:`_count_gather`): at 100k transactions (1563 words a row) they
+#: hold 335 candidates each, not the 2048 a candidate-count chunk would
+#: size them at (51 MB).
+_GATHER_BUFFER_BYTES = 8 << 20
 
 #: Largest item id for which the id -> row translation is a direct
 #: array index; sparser id spaces fall back to ``numpy.unique`` + dict.
@@ -358,13 +456,42 @@ def _count_numpy(bitmap, candidates, support, chunk_size):
         chain.from_iterable(candidates), dtype=_np.int64, count=n * k0
     )
     rows = _translate_rows(bitmap, flat)
-    counts = _try_pairs_gemm(bitmap, rows, n) if k0 == 2 else None
+    if k0 == 1:
+        counts = _row_supports(bitmap)[rows]
+    elif k0 == 2:
+        counts = _try_pairs_gemm(bitmap, rows, n)
+    else:
+        counts = None
     if counts is None:
         counts = _count_gather(
             bitmap.matrix, rows.reshape(n, k0), chunk_size
         )
     support.update(zip(candidates, counts.tolist()))
     return n * k0
+
+
+def _row_supports(bitmap):
+    """Per-row popcounts (row supports), computed once per matrix."""
+    if bitmap.row_supports is None:
+        bitmap.row_supports = popcount_words(bitmap.matrix).sum(
+            axis=1, dtype=_np.int64
+        )
+    return bitmap.row_supports
+
+
+def element_occurrences(view: BitmapMatrix, elements: Sequence[int]) -> int:
+    """How many times ``elements`` occur across the transactions ``view``
+    covers: the sum of their supports, i.e. the total length of the
+    transactions projected onto ``elements`` — the probes the one-pass
+    singleton kernel (:func:`~repro.mining.counting.count_singletons`)
+    meters for a level-1 scan of that projection."""
+    if view.kind == "int":
+        masks = view.masks
+        return sum(_INT_POPCOUNT(masks.get(e, 0)) for e in elements)
+    if not elements:
+        return 0
+    rows = _translate_rows(view, _np.asarray(elements, dtype=_np.int64))
+    return int(_row_supports(view)[rows].sum())
 
 
 def _translate_rows(bitmap, flat):
@@ -428,19 +555,6 @@ def _gemm_worthwhile(n_candidates, n_rows, n_words):
     )
 
 
-def _matrix_bits(bitmap):
-    """The cached float32 bit expansion of the whole matrix, or ``None``
-    when it would exceed the memory cap."""
-    if bitmap.bits_f32 is None:
-        expanded = bitmap.matrix.shape[0] * bitmap.n_words * 64 * 4
-        if expanded > _GEMM_MAX_EXPANDED_BYTES:
-            return None
-        bitmap.bits_f32 = _np.unpackbits(
-            bitmap.matrix.view(_np.uint8), axis=1
-        ).astype(_np.float32)
-    return bitmap.bits_f32
-
-
 def _try_pairs_gemm(bitmap, rows, n):
     """Level-2 supports through one BLAS Gram matrix, or ``None``.
 
@@ -452,29 +566,48 @@ def _try_pairs_gemm(bitmap, rows, n):
     sum is an integer bounded by the bit width, which
     :func:`_gemm_worthwhile` caps below 2**24 (fp32's exact-integer
     range); ``rint`` guards the int conversion anyway.
+
+    Memory: only the referenced rows are expanded, per call, a slice of
+    words at a time, with the float32 slice, its uint8 unpacking and the
+    Gram matrix together within :data:`_GEMM_MAX_EXPANDED_BYTES`; the
+    Gram matrix accumulates over the slices.  Nothing outlives the
+    call.  Declines when not even one word per row fits.
     """
     present = _np.zeros(bitmap.matrix.shape[0], dtype=bool)
     present[rows] = True
     unique_rows = _np.flatnonzero(present)
-    if not _gemm_worthwhile(n, len(unique_rows), bitmap.n_words):
+    n_rows = len(unique_rows)
+    if not _gemm_worthwhile(n, n_rows, bitmap.n_words):
         return None
-    bits = _matrix_bits(bitmap)
-    if bits is None:
+    # Per word of every referenced row: 64 float32 bits plus 64 uint8.
+    step = (_GEMM_MAX_EXPANDED_BYTES - n_rows * n_rows * 4) // (n_rows * 320)
+    if step < 1:
         return None
-    sub = bits[unique_rows]
+    packed = bitmap.matrix[unique_rows]
+    buffer = _np.empty(n_rows * min(step, bitmap.n_words) * 64,
+                       dtype=_np.float32)
+    gram = _np.zeros((n_rows, n_rows), dtype=_np.float32)
+    for start in range(0, bitmap.n_words, step):
+        words = _np.ascontiguousarray(packed[:, start:start + step])
+        bits = buffer[:words.size * 64].reshape(n_rows, -1)
+        bits[...] = _np.unpackbits(words.view(_np.uint8), axis=1)
+        if _ssyrk is not None:
+            # syrk fills only the upper triangle of bits @ bits.T (half
+            # the flops); bits.T is the Fortran-contiguous view BLAS
+            # wants, so no copy is made.
+            gram = _ssyrk(1.0, bits.T, beta=1.0, c=gram, trans=1,
+                          overwrite_c=1)
+        else:
+            gram += bits @ bits.T
     remap = _np.zeros(bitmap.matrix.shape[0], dtype=_np.intp)
-    remap[unique_rows] = _np.arange(len(unique_rows))
+    remap[unique_rows] = _np.arange(n_rows)
     pair = remap[rows].reshape(n, 2)
     if _ssyrk is not None:
-        # syrk fills only the upper triangle of sub @ sub.T (half the
-        # flops); sub.T is the Fortran-contiguous view BLAS wants, so
-        # no copy is made.  Row indices are folded into that triangle.
-        gram = _ssyrk(1.0, sub.T, trans=1)
+        # Row indices are folded into syrk's upper triangle.
         lo = _np.minimum(pair[:, 0], pair[:, 1])
         hi = _np.maximum(pair[:, 0], pair[:, 1])
         counts = gram[lo, hi]
     else:
-        gram = sub @ sub.T
         counts = gram[pair[:, 0], pair[:, 1]]
     return _np.rint(counts).astype(_np.int64)
 
@@ -484,24 +617,33 @@ def _count_gather(matrix, index, chunk_size):
 
     Work buffers are preallocated once and reused across chunks, so the
     kernel's memory high-water mark is two ``(chunk, words)`` arrays
-    regardless of batch size.
+    regardless of batch size — at most ``chunk_size`` candidates and
+    :data:`_GATHER_BUFFER_BYTES` together, whatever the row width.
     """
     n, k = index.shape
     n_words = matrix.shape[1]
-    chunk = min(chunk_size, n)
+    chunk = min(chunk_size, n, _gather_chunk(n_words))
     acc = _np.empty((chunk, n_words), dtype=_np.uint64)
     tmp = _np.empty((chunk, n_words), dtype=_np.uint64)
     counts = _np.empty(n, dtype=_np.int64)
     for start in range(0, n, chunk):
         sub = index[start:start + chunk]
         b = len(sub)
-        _np.take(matrix, sub[:, 0], axis=0, out=acc[:b])
+        # Row indices are valid by construction; any mode but the
+        # default "raise" writes into ``out`` without a hidden buffer.
+        _np.take(matrix, sub[:, 0], axis=0, out=acc[:b], mode="clip")
         for j in range(1, k):
-            _np.take(matrix, sub[:, j], axis=0, out=tmp[:b])
+            _np.take(matrix, sub[:, j], axis=0, out=tmp[:b], mode="clip")
             _np.bitwise_and(acc[:b], tmp[:b], out=acc[:b])
         _np.sum(popcount_words(acc[:b]), axis=1, dtype=_np.int64,
                 out=counts[start:start + b])
     return counts
+
+
+def _gather_chunk(n_words: int) -> int:
+    """Candidates per gather chunk that keep both work buffers within
+    :data:`_GATHER_BUFFER_BYTES` (at least one)."""
+    return max(1, _GATHER_BUFFER_BYTES // (2 * 8 * max(n_words, 1)))
 
 
 def _count_numpy_ragged(bitmap, candidates, support):
@@ -548,7 +690,10 @@ class BitmapBackend:
     equal-content lists (two loads of one dataset, a shard re-sliced
     each level) share one build, the memo pins list objects so recycled
     ids can never alias, and ``builds`` counts actual packings so tests
-    can assert the sharing.  Per-pass candidate counts, words touched,
+    can assert the sharing.  A :class:`DomainIndex` in place of a list
+    counts against its database's cached index instead
+    (:meth:`index_matrix`); that cache belongs to the database, not to
+    this backend.  Per-pass candidate counts, words touched,
     and kernel wall time accumulate on :attr:`stats`
     (:class:`~repro.db.stats.BitmapStats`), which ``--explain`` and run
     reports surface next to the parallel backend's block.
@@ -611,6 +756,24 @@ class BitmapBackend:
             self.stats.record_cache_hit()
         return bitmap
 
+    def index_matrix(self, index: DomainIndex) -> BitmapMatrix:
+        """The matrix ``index`` counts against, resolved on first use.
+
+        Recorded as a matrix build when this call made the database pack
+        its index, and as a cache hit otherwise.
+        """
+        if index.view is None:
+            db = index.db
+            if db.has_bitmap(self.use_numpy):
+                self.stats.record_cache_hit()
+            else:
+                self.builds += 1
+                self.stats.record_build()
+            index.view = domain_view(db.bitmap(self.use_numpy), index.domain)
+        else:
+            self.stats.record_cache_hit()
+        return index.view
+
     def apply_delta(self, new_transactions, delta) -> bool:
         """Seed the matrix cache for ``new_transactions`` from the base.
 
@@ -650,12 +813,26 @@ class BitmapBackend:
         # level granularity, matching the hashtree/vertical backends.
         if guard is not None and guard.enabled:
             guard.check("counting")
-        bitmap = self.matrix_for(transactions)
+        index = transactions if isinstance(transactions, DomainIndex) else None
+        bitmap = (
+            self.index_matrix(index) if index is not None
+            else self.matrix_for(transactions)
+        )
         start = time.perf_counter()
         support = count_with_bitmap(
-            bitmap, candidates, counters, var, k=k,
-            chunk_size=self.chunk_candidates,
+            bitmap, candidates, chunk_size=self.chunk_candidates
         )
+        if counters is not None:
+            counters.record_counted(var, k, len(candidates))
+            # A level-1 pass over the index stands in for the singleton
+            # scan of the projected list, and is metered in that scan's
+            # unit, so a bitmap run's counters are the same on either
+            # path (the list path counts level 1 with count_singletons).
+            counters.subset_tests += (
+                element_occurrences(bitmap, index.domain.elements)
+                if index is not None and k == 1
+                else bitmap_probe_cost(candidates, bitmap.n_transactions)
+            )
         self.stats.record_level(
             candidates=len(candidates),
             words=len(candidates) * max(k, 1) * bitmap.n_words,

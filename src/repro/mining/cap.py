@@ -151,7 +151,9 @@ def cap_mine(
         var=var,
         min_count=min_count,
         constraints=[str(c) for c in constraints] if tracer.enabled else None,
-        backend=getattr(lattice.backend, "name", None) or "hybrid",
+        backend=getattr(
+            lattice.backend, "name", type(lattice.backend).__name__
+        ),
     ):
         with backend_scope(lattice.backend):
             try:

@@ -7,25 +7,22 @@ transactions — supports are per-transaction sums, so for any itemset
 
     support_new(X) = support_old(X) + count(X, added) - count(X, removed)
 
-This module supplies the two counting shapes that refresh needs, both
+This module supplies the delta-pass counting shape refresh needs,
 reusing the audited counting kernels so metering stays comparable:
+:func:`count_over` counts a mixed-size candidate set over a (small)
+transaction list.  Candidates the old skeleton never counted (children
+of promoted sets, or everything a dropped threshold newly generates) are
+probed against the new database's bitmap index instead (see
+:mod:`repro.serve.delta`).
 
-* :func:`count_over` — a mixed-size candidate set counted over a (small)
-  transaction list, used for the delta passes;
-* :class:`SupportIndex` — an inverted item→TID index over the **full**
-  new database, built lazily in one pass and then answering any number
-  of probes (candidates the old skeleton never counted: children of
-  promoted sets, or everything a dropped threshold newly generates) by
-  TID-set intersection, with no further database passes.
-
-Both leave scan accounting to the caller: refresh records one scan for
-the delta pass and one for the index build, so its cost shows up
-honestly in the refresh stats.
+Scan accounting is left to the caller: refresh records one scan per
+delta pass and one for the probes, so its cost shows up honestly in the
+refresh stats.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.db.stats import OpCounters
 from repro.mining.counting import count_candidates, count_singletons
@@ -78,57 +75,3 @@ def count_over(
                                  guard=guard)
             )
     return supports
-
-
-class SupportIndex:
-    """Inverted item → TID-set index answering exact support probes.
-
-    Built in a single pass over the transaction list; after that every
-    probe is an intersection of its items' TID sets (smallest first,
-    bailing on empty), so probing P candidates across L levels costs one
-    database pass total instead of L — the structural reason a skeleton
-    refresh beats a cold re-mine even when a dropped threshold forces
-    thousands of probes.
-    """
-
-    def __init__(self, transactions: Sequence[Transaction]) -> None:
-        self.n_transactions = len(transactions)
-        tids: Dict[int, Set[int]] = {}
-        for tid, transaction in enumerate(transactions):
-            for item in transaction:
-                tids.setdefault(item, set()).add(tid)
-        self._tids = tids
-
-    def support(self, candidate: Itemset) -> int:
-        """Exact support of one candidate (the empty set is supported by
-        every transaction, matching ``TransactionDatabase.support``)."""
-        if not candidate:
-            return self.n_transactions
-        tid_sets = []
-        for item in candidate:
-            tids = self._tids.get(item)
-            if not tids:
-                return 0
-            tid_sets.append(tids)
-        tid_sets.sort(key=len)
-        current = tid_sets[0]
-        for other in tid_sets[1:]:
-            current = current & other
-            if not current:
-                return 0
-        return len(current)
-
-    def probe(
-        self,
-        candidates: Sequence[Itemset],
-        counters: Optional[OpCounters] = None,
-        var: str = "S",
-        level: int = 0,
-    ) -> Dict[Itemset, int]:
-        """Supports of a candidate batch, metered like a counting pass
-        (``support_counted`` per (var, level)) so refresh stats stay in
-        the same units as cold mining."""
-        supports = {c: self.support(c) for c in candidates}
-        if counters is not None and candidates:
-            counters.record_counted(var, level, len(candidates))
-        return supports

@@ -37,13 +37,16 @@ from repro.constraints.pruners import (
 from repro.core.jmax import BoundSeries
 from repro.core.plan import ExecutionPlan, JmaxPlan
 from repro.core.reduction import reduce_twovar
-from repro.db.stats import OpCounters
+from repro.db.stats import OpCounters, ParallelStats
 from repro.db.transactions import TransactionDatabase
 from repro.errors import ExecutionError
-from repro.mining.backends import backend_scope, guarded_count, make_backend
+from repro.mining.backends import backend_scope, make_backend
 from repro.mining.cap import compile_constraints
-from repro.mining.counting import count_singletons
-from repro.mining.lattice import ConstrainedLattice, LatticeResult
+from repro.mining.lattice import (
+    ConstrainedLattice,
+    LatticeResult,
+    counting_source,
+)
 from repro.obs.logs import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import resolve_tracer
@@ -104,7 +107,8 @@ class DovetailEngine:
         # Resolve the backend ONCE and share the instance across both
         # lattices: stateful backends (the parallel worker pool, the
         # vertical TID-list cache) must be per-run, not per-lattice.
-        self.backend = make_backend(backend) if backend is not None else None
+        # Unnamed means bitmap, counting against the database's index.
+        self.backend = make_backend("bitmap" if backend is None else backend)
         self.reduction_rounds = reduction_rounds
         self.tracer = resolve_tracer(tracer)
         self.guard = resolve_guard(guard)
@@ -149,7 +153,9 @@ class DovetailEngine:
             dovetail=self.dovetail,
             use_reduction=self.use_reduction,
             use_jmax=self.use_jmax,
-            backend=getattr(self.backend, "name", None) or "hybrid",
+            backend=getattr(
+                self.backend, "name", type(self.backend).__name__
+            ),
             variables=sorted(self.plan.var_plans),
         ):
             with backend_scope(self.backend):
@@ -256,16 +262,16 @@ class DovetailEngine:
             # An oracle-served run has no miss path: every pass is a
             # skeleton lookup (or a checkpoint replay), so its lattices
             # hold no transactions and nothing is projected or trimmed.
-            projected = (
+            source = (
                 None
                 if self.support_oracle is not None
-                else [domain.project(t) for t in self.db.transactions]
+                else counting_source(self.backend, self.db, domain)
             )
             pruning = compile_constraints(var_plan.base_constraints, var, domain)
             lattices[var] = ConstrainedLattice(
                 var=var,
                 elements=domain.elements,
-                transactions=projected,
+                transactions=source,
                 min_count=var_plan.min_count,
                 pruning=pruning,
                 counters=self.counters,
@@ -349,17 +355,7 @@ class DovetailEngine:
                     )
                 )
             return support
-        if k == 1:
-            raw = count_singletons(
-                lattice.transactions, (c[0] for c in candidates),
-                self.counters, lattice.var, guard=self.guard,
-            )
-            support = {(e,): n for e, n in raw.items()}
-        else:
-            support = guarded_count(
-                lattice.backend, lattice.transactions, candidates, k,
-                self.counters, lattice.var, guard=self.guard,
-            )
+        support = lattice.count(candidates, k)
         if self.checkpointer is not None:
             self._events.append(
                 CountEvent(
@@ -423,7 +419,9 @@ class DovetailEngine:
         metrics.inc("candidates_counted", candidates_in, var=lattice.var)
         metrics.inc("frequent_sets", frequent_out, var=lattice.var)
         stats = getattr(lattice.backend, "stats", None)
-        if attach_shards and stats is not None and getattr(stats, "levels", None):
+        # Only the sharded backend's per-pass stats carry shard timings
+        # (the bitmap backend's record kernel time alone).
+        if attach_shards and isinstance(stats, ParallelStats) and stats.levels:
             last = stats.levels[-1]
             span.set(
                 shard_sizes=list(last.shard_sizes),

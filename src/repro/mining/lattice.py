@@ -40,6 +40,7 @@ from repro.constraints.pruners import CompiledPruning
 from repro.db.stats import OpCounters
 from repro.errors import ExecutionError
 from repro.mining.backends import guarded_count, make_backend
+from repro.mining.bitmap import BitmapBackend, DomainIndex
 from repro.mining.candidates import generate_pairs, join_and_prune
 from repro.mining.counting import count_singletons, frequent_only
 from repro.mining.itemsets import Itemset, canonical
@@ -102,6 +103,19 @@ class LatticeResult:
         return max(levels) if levels else 0
 
 
+def counting_source(backend, db, domain):
+    """What a lattice over ``domain`` counts against under ``backend``.
+
+    The bitmap backend gets a :class:`~repro.mining.bitmap.DomainIndex`
+    (the domain's view of the database's cached bitmap index: nothing is
+    projected); every other backend gets the domain-projected
+    transactions, the list path the differential suites compare against.
+    """
+    if isinstance(backend, BitmapBackend):
+        return DomainIndex(db, domain)
+    return [domain.project(t) for t in db.transactions]
+
+
 class ConstrainedLattice:
     """Levelwise miner for one variable under operational pruning forms.
 
@@ -114,10 +128,13 @@ class ConstrainedLattice:
         :class:`~repro.db.domain.Domain`'s ``elements``, or any iterable
         of ids for plain frequency mining).
     transactions:
-        The domain-projected transactions (tuples of element ids), or
-        ``None`` for a lattice whose supports all come from elsewhere (a
-        support oracle): it then holds no transaction list, and counting
-        against it raises :class:`~repro.errors.ExecutionError`.
+        The domain-projected transactions (tuples of element ids); a
+        :class:`~repro.mining.bitmap.DomainIndex`, the domain's view of
+        the database's bitmap index, which the bitmap backend counts
+        against with nothing projected, copied or trimmed; or ``None``
+        for a lattice whose supports all come from elsewhere (a support
+        oracle): it then holds no transaction list, and counting against
+        it raises :class:`~repro.errors.ExecutionError`.
     min_count:
         Absolute support threshold.
     pruning:
@@ -149,8 +166,10 @@ class ConstrainedLattice:
         self.guard = resolve_guard(guard)
         self.var = var
         self.elements: Tuple[int, ...] = tuple(elements)
-        self._transactions: Optional[List[Tuple[int, ...]]] = (
-            None if transactions is None else list(transactions)
+        self._transactions = (
+            transactions
+            if transactions is None or isinstance(transactions, DomainIndex)
+            else list(transactions)
         )
         self.min_count = min_count
         self.pruning = pruning if pruning is not None else CompiledPruning()
@@ -188,8 +207,9 @@ class ConstrainedLattice:
         self._pending_level = 0
 
     @property
-    def transactions(self) -> List[Tuple[int, ...]]:
-        """The (trimmed) projected transactions counting passes read."""
+    def transactions(self):
+        """What counting passes read: the (trimmed) projected
+        transactions, or the :class:`~repro.mining.bitmap.DomainIndex`."""
         if self._transactions is None:
             raise ExecutionError(
                 f"lattice {self.var!r} holds no transactions (its supports "
@@ -275,19 +295,31 @@ class ConstrainedLattice:
             return False
         k = self._pending_level
         self.counters.record_scan(len(self.transactions))
-        if k == 1:
-            supports = count_singletons(
-                self.transactions, (c[0] for c in cands), self.counters,
-                self.var, guard=self.guard,
-            )
-            self.absorb({(e,): n for e, n in supports.items()})
-        else:
-            self.absorb(
-                guarded_count(self.backend, self.transactions, cands, k,
-                              self.counters, self.var, guard=self.guard)
-            )
+        self.absorb(self.count(cands, k))
         self.guard.level_completed(self.var, k)
         return self.active
+
+    def count(self, candidates: List[Itemset], k: int) -> Dict[Itemset, int]:
+        """One counting pass over :attr:`transactions`.
+
+        Level 1 over a projected list is the one-pass singleton kernel;
+        every other pass, and level 1 over a
+        :class:`~repro.mining.bitmap.DomainIndex` (row popcounts), goes
+        through the backend.  Either way the level-1 supports are keyed
+        in the iteration order of ``set`` over the elements, the order
+        :func:`~repro.mining.counting.count_singletons` yields —
+        answer-bearing, since pair formation iterates these dicts.
+        """
+        transactions = self.transactions
+        if k == 1:
+            elements = (c[0] for c in candidates)
+            if not isinstance(transactions, DomainIndex):
+                raw = count_singletons(transactions, elements, self.counters,
+                                       self.var, guard=self.guard)
+                return {(e,): n for e, n in raw.items()}
+            candidates = [(e,) for e in set(elements)]
+        return guarded_count(self.backend, transactions, candidates, k,
+                             self.counters, self.var, guard=self.guard)
 
     # ------------------------------------------------------------------
     # Pruning installation (the reduction / Jmax hooks)
@@ -398,7 +430,11 @@ class ConstrainedLattice:
             self.counters.record_check(1, n_elements)
 
     def _trim_transactions(self) -> None:
-        if self._transactions is None:
+        # An index view needs no trimming: a candidate's support reads
+        # only its own items' rows.
+        if self._transactions is None or isinstance(
+            self._transactions, DomainIndex
+        ):
             return
         keep = frozenset(self.level1_supports)
         self._transactions = [

@@ -26,8 +26,9 @@ generation at the new threshold using those exact supports:
   since frequent ∪ border covers every singleton);
 * a generated candidate the base skeleton never counted (possible only
   when a parent was promoted across the threshold, or the threshold
-  dropped) is recounted over the full new database in one batched
-  targeted pass per level (:func:`~repro.mining.delta.probe_supports`).
+  dropped) is probed in one batch per level against the new database's
+  bitmap index (:meth:`~repro.db.transactions.TransactionDatabase.bitmap`,
+  through the domain's :func:`~repro.mining.bitmap.domain_view`).
 
 By induction over levels the refreshed frequent sets equal cold-mined
 ones with exact supports, and the refreshed border is again the complete
@@ -74,8 +75,9 @@ from repro.db.delta import DatasetDelta
 from repro.db.stats import OpCounters
 from repro.db.transactions import TransactionDatabase
 from repro.errors import ExecutionError
+from repro.mining.bitmap import BitmapMatrix, count_with_bitmap, domain_view
 from repro.mining.candidates import join_and_prune
-from repro.mining.delta import SupportIndex, count_over, relevant_candidates
+from repro.mining.delta import count_over, relevant_candidates
 from repro.runtime import faults
 from repro.serve.skeleton import Skeleton, _approx_bytes
 
@@ -109,8 +111,9 @@ class SkeletonRefreshStats:
     demoted: int = 0
     #: never-counted candidates recounted over the full new database
     probed: int = 0
-    #: levels that needed probes; all are answered by ONE inverted-index
-    #: pass over the new database, built lazily at the first probe
+    #: levels that needed probes; all are answered from the new
+    #: database's bitmap index, read (and packed, if no count has yet)
+    #: at the first probe
     probe_scans: int = 0
     #: singletons whose frequent/infrequent status flipped — the L1
     #: supports whose dependent reduction constants and J^k_max inputs
@@ -247,14 +250,14 @@ def refresh_skeleton(
     # ------------------------------------------------------------------
     # Levelwise completion at the new threshold: replay Apriori's
     # candidate generation; resolve from ``adjusted`` where known, probe
-    # an inverted TID index of the full new database (built lazily, ONE
-    # pass, shared by every probing level) where not.
+    # the new database's bitmap index (metered as ONE pass, shared by
+    # every probing level) where not.
     # ------------------------------------------------------------------
     supports: Dict[Itemset, int] = {}
     border: Dict[Itemset, int] = {}
     probed = 0
     probe_scans = 0
-    index: Optional[SupportIndex] = None
+    index: Optional[BitmapMatrix] = None
 
     # Level 1: frequent ∪ border of the base skeleton covers the whole
     # universe, so the adjusted map already holds every singleton.
@@ -290,12 +293,13 @@ def refresh_skeleton(
         if unknown:
             if index is None:
                 counters.record_scan(len(new_db))
-                index = SupportIndex(
-                    [domain.project(t) for t in new_db.transactions]
-                )
+                index = domain_view(new_db.bitmap(), domain)
             if guard is not None and getattr(guard, "enabled", False):
                 guard.check(where=f"delta-probe L{k}")
-            adjusted.update(index.probe(unknown, counters, var, level=k))
+            # Metered like a counting pass's ledger (``support_counted``
+            # per level), so refresh stats stay in cold-mining units.
+            adjusted.update(count_with_bitmap(index, unknown))
+            counters.record_counted(var, k, len(unknown))
             probed += len(unknown)
             probe_scans += 1
         freq_prev = []

@@ -790,3 +790,167 @@ def test_parallel_bitmap_explain_names_the_kernel():
     assert "parallel counting:" in explain
     assert "(bitmap kernel," in explain
     assert backend.stats.pool_forks == 1
+
+
+# ----------------------------------------------------------------------
+# The default path: bitmap over the database's index vs the hybrid list
+# ----------------------------------------------------------------------
+def _assert_default_matches_hybrid(db, cfq, **options):
+    """A default (unnamed-backend) run against the ``hybrid`` reference:
+    sets in order with supports, pairs, bound histories, the
+    answer-bearing counters, and the ``support_counted`` ledger."""
+    from repro.core.optimizer import CFQOptimizer
+
+    reference = CFQOptimizer(cfq).execute(db, backend="hybrid", **options)
+    run = CFQOptimizer(cfq).execute(db, **options)
+    assert isinstance(run.backend, BitmapBackend)
+    answers = _workload_answers(run)
+    assert answers == _workload_answers(reference)
+    run_counters = run.counters.as_dict()
+    ref_counters = reference.counters.as_dict()
+    for fld in ANSWER_COUNTERS:
+        assert run_counters[fld] == ref_counters[fld], fld
+    assert run.counters.support_counted == reference.counters.support_counted
+    return run, answers
+
+
+@pytest.mark.parametrize("name", ["quickstart", "fig8b", "jmax"])
+def test_default_backend_bit_identical_to_hybrid(name):
+    workload = _workload(name)
+    assert not workload.db.has_bitmap()
+    run, __ = _assert_default_matches_hybrid(workload.db, workload.cfq())
+    assert workload.db.has_bitmap()
+    # One packing of the database serves both lattices' passes.
+    assert run.backend.stats.builds == 1
+    assert run.backend.builds == 1
+
+
+def _quickstart_catalog_domains(derived_t=True, shared=False):
+    from repro.datagen.workloads import quickstart_workload
+    from repro.db.domain import Domain, derived_type_domain
+
+    workload = quickstart_workload(n_transactions=300, seed=11)
+    types = derived_type_domain(workload.catalog)
+    items = Domain.items(workload.catalog)
+    if shared:
+        return workload, {"S": types, "T": types}
+    return workload, {"S": items, "T": types if derived_t else items}
+
+
+def test_default_backend_on_a_derived_type_domain():
+    """T over the Type domain: its index view ORs each type's item rows."""
+    from repro.core.query import CFQ
+
+    workload, domains = _quickstart_catalog_domains()
+    cfq = CFQ(domains=domains, minsup=0.05, constraints=["S.Type ⊆ T"])
+    __, answers = _assert_default_matches_hybrid(workload.db, cfq)
+    assert answers["pairs"]
+
+
+def test_default_backend_with_s_and_t_sharing_one_derived_domain():
+    from repro.core.query import CFQ
+
+    workload, domains = _quickstart_catalog_domains(shared=True)
+    assert domains["S"] is domains["T"]
+    cfq = CFQ(
+        domains=domains, minsup=0.05,
+        constraints=["count(S.Value) <= count(T.Value)"],
+    )
+    _assert_default_matches_hybrid(workload.db, cfq)
+
+
+@pytest.mark.parametrize(
+    "transactions",
+    [[], [()] * 5],
+    ids=["empty-database", "all-empty-transactions"],
+)
+def test_default_backend_on_degenerate_databases(transactions):
+    from repro.db.transactions import TransactionDatabase
+
+    workload = _workload("quickstart")
+    db = TransactionDatabase(transactions)
+    __, answers = _assert_default_matches_hybrid(db, workload.cfq())
+    assert answers["pairs"] == []
+
+
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_default_backend_around_a_word_boundary(n):
+    """N = 63/64/65: the index's last word is full, exact, or one bit."""
+    from repro.db.transactions import TransactionDatabase
+
+    workload = _workload("quickstart")
+    db = TransactionDatabase(list(workload.db)[:n])
+    assert db.bitmap().n_words == (n + 63) // 64
+    _assert_default_matches_hybrid(db, workload.cfq())
+
+
+def test_default_backend_without_numpy_uses_the_big_int_index(monkeypatch):
+    """With numpy reported absent the database packs big-int masks and
+    the default run still matches hybrid."""
+    from repro.db.transactions import TransactionDatabase
+    from repro.mining import bitmap as bitmap_mod
+
+    workload = _workload("fig8b")
+    db = TransactionDatabase(workload.db)
+    monkeypatch.setattr(bitmap_mod, "HAVE_NUMPY", False)
+    run, __ = _assert_default_matches_hybrid(db, workload.cfq())
+    assert run.backend.stats.kernel == "int"
+    assert db.bitmap().kind == "int"
+    assert not db.has_bitmap(use_numpy=True)
+
+
+def test_default_backend_checkpoint_interrupt_and_resume(tmp_path):
+    """Interrupt a default run at a level boundary and resume it: the
+    resumed run equals an uninterrupted default run on every counter
+    and the hybrid reference on every answer."""
+    from repro.core.optimizer import CFQOptimizer
+    from repro.runtime.guard import RunGuard
+
+    class TripAfterLevels(RunGuard):
+        def __init__(self, n_levels):
+            super().__init__()
+            self.remaining = n_levels
+
+        def level_completed(self, var, level):
+            super().level_completed(var, level)
+            self.remaining -= 1
+            if self.remaining <= 0:
+                self.request_cancel("cancelled", "test interruption")
+                self.check("level")
+
+    workload = _workload("jmax")
+    cfq = workload.cfq()
+    uninterrupted, expected = _assert_default_matches_hybrid(workload.db, cfq)
+    interrupted = CFQOptimizer(cfq).execute(
+        workload.db, guard=TripAfterLevels(3), checkpoint_dir=str(tmp_path)
+    )
+    assert interrupted.status == "partial"
+    resumed = CFQOptimizer(cfq).execute(
+        workload.db, checkpoint_dir=str(tmp_path), resume=True
+    )
+    assert resumed.status == "complete"
+    assert _workload_answers(resumed) == expected
+    assert resumed.counters.as_dict() == uninterrupted.counters.as_dict()
+
+
+@pytest.mark.parametrize("name", ["quickstart", "fig8b", "jmax"])
+def test_default_apriori_plus_bit_identical_to_hybrid(name):
+    from repro.mining.aprioriplus import apriori_plus
+
+    workload = _workload(name)
+    cfq = workload.cfq()
+    reference = apriori_plus(workload.db, cfq, backend="hybrid")
+    run = apriori_plus(workload.db, cfq)
+    for var in cfq.variables:
+        assert list(run.frequent(var).items()) == list(
+            reference.frequent(var).items()
+        ), var
+        assert run.lattices[var].counted_per_level == (
+            reference.lattices[var].counted_per_level
+        )
+    assert run.pairs() == reference.pairs()
+    assert run.counters.support_counted == reference.counters.support_counted
+    run_counters = run.counters.as_dict()
+    ref_counters = reference.counters.as_dict()
+    for fld in ANSWER_COUNTERS:
+        assert run_counters[fld] == ref_counters[fld], fld

@@ -156,6 +156,56 @@ def test_tail_words_carry_no_phantom_bits(transactions):
             )
 
 
+#: Item ids across both translation paths of the numpy packer: small
+#: non-negative ids use the direct lookup array, and one negative or
+#: huge id switches the matrix to the ``numpy.unique`` + dict path.
+WIDE_TRANSACTIONS = st.lists(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=12),
+            st.integers(min_value=-3, max_value=-1),
+            st.integers(min_value=1 << 40, max_value=(1 << 40) + 2),
+        ),
+        unique=True,
+        max_size=6,
+    ).map(_sorted_tuple),
+    max_size=60,
+)
+
+
+def _tid_truth(transactions):
+    truth = {}
+    for tid, transaction in enumerate(transactions):
+        for item in transaction:
+            truth.setdefault(item, set()).add(tid)
+    return truth
+
+
+@needs_numpy
+@SETTINGS
+@given(
+    transactions=WIDE_TRANSACTIONS,
+    added=WIDE_TRANSACTIONS,
+    chunk=st.integers(min_value=1, max_value=9),
+)
+def test_vectorized_packer_matches_a_set_oracle(transactions, added, chunk):
+    """The one numpy packer, fed in chunks of any size, sets exactly the
+    set oracle's bits — packing a fresh list and appending to one."""
+    from unittest import mock
+
+    from repro.mining import bitmap as bitmap_mod
+
+    with mock.patch.object(bitmap_mod, "_PACK_CHUNK", chunk):
+        fresh = build_bitmap(transactions, use_numpy=True)
+        grown = update_bitmap(fresh, added)
+    for bitmap, rows in ((fresh, transactions), (grown, transactions + added)):
+        truth = _tid_truth(rows)
+        assert set(bitmap.item_index) == set(truth)
+        assert not bitmap.matrix[0].any()
+        for item, tids in truth.items():
+            assert _tids_of(bitmap, item) == tids, item
+
+
 # ----------------------------------------------------------------------
 # Intersection counts vs the set oracle; numpy-vs-int cross-check
 # ----------------------------------------------------------------------
@@ -365,6 +415,8 @@ def test_gram_kernel_without_scipy_ssyrk(monkeypatch):
 def test_gram_kernel_respects_expansion_memory_cap(monkeypatch):
     """With the bit-expansion budget forced to zero the Gram kernel
     declines and the gather kernel answers — identically."""
+    import numpy as np
+
     from repro.mining import bitmap as bitmap_mod
 
     monkeypatch.setattr(bitmap_mod, "_GEMM_MAX_EXPANDED_BYTES", 0)
@@ -373,7 +425,9 @@ def test_gram_kernel_respects_expansion_memory_cap(monkeypatch):
     bitmap = build_bitmap(transactions, use_numpy=True)
     support = count_with_bitmap(bitmap, pairs)
     assert support == set_oracle(transactions, pairs)
-    assert bitmap.bits_f32 is None  # the expansion was never built
+    flat = np.asarray([i for c in pairs for i in c], dtype=np.int64)
+    rows = bitmap_mod._translate_rows(bitmap, flat)
+    assert bitmap_mod._try_pairs_gemm(bitmap, rows, len(pairs)) is None
 
 
 def test_int_kernel_backend_end_to_end():
@@ -619,3 +673,86 @@ def test_backend_apply_delta_declines_when_base_was_never_built():
     assert backend.apply_delta(list(new_db.transactions), delta) is False
     # Declining is harmless: the next count packs cold and is correct.
     assert backend.count(list(new_db.transactions), [(2, 3)], 2) == {(2, 3): 1}
+
+
+# ----------------------------------------------------------------------
+# Bounded kernel memory at the paper's scale (N = 100k transactions)
+# ----------------------------------------------------------------------
+PAPER_N = 100_000
+PAPER_WORDS = (PAPER_N + 63) >> 6  # 1563
+
+
+def _traced_peak(fn):
+    """``fn()``'s result and the peak bytes traced while it ran."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = fn()
+        __, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@needs_numpy
+def test_gather_buffers_are_pinned_at_paper_scale():
+    """At 100k transactions the two gather buffers hold 335 candidates
+    each, 8.4 MB together, not the 2048 the candidate chunk allows
+    (51 MB)."""
+    import numpy as np
+
+    from repro.mining import bitmap as bitmap_mod
+
+    assert bitmap_mod._gather_chunk(PAPER_WORDS) == 335
+    buffers = 2 * 335 * PAPER_WORDS * 8
+    assert buffers == 8_377_680 <= bitmap_mod._GATHER_BUFFER_BYTES
+    matrix = np.zeros((3, PAPER_WORDS), dtype=np.uint64)
+    matrix[1:] = np.uint64(0x5555555555555555)
+    index = np.tile(np.array([1, 2], dtype=np.intp), (2048, 1))
+    counts, peak = _traced_peak(
+        lambda: bitmap_mod._count_gather(matrix, index, 2048)
+    )
+    assert counts.tolist() == [PAPER_WORDS * 32] * 2048
+    # The buffers, one chunk's per-word popcounts, the counts, and a
+    # little interpreter noise; a third buffer would add 4.2 MB.
+    assert peak <= buffers + 335 * PAPER_WORDS + 2048 * 8 + (256 << 10)
+
+
+@needs_numpy
+def test_gram_kernel_expands_only_referenced_rows_within_its_cap():
+    """A dense level-2 batch over 40 of 200 rows at 100k transactions:
+    the whole-row expansion would be 16 MB, so the Gram kernel expands
+    word slices of the 40 rows within its 8 MB cap — and still counts
+    exactly what the gather kernel counts."""
+    import numpy as np
+
+    from repro.mining import bitmap as bitmap_mod
+    from repro.mining.bitmap import BitmapMatrix
+
+    rng = np.random.default_rng(7)
+    matrix = rng.integers(0, 1 << 63, size=(201, PAPER_WORDS),
+                          dtype=np.uint64)
+    matrix &= rng.integers(0, 1 << 63, size=matrix.shape, dtype=np.uint64)
+    matrix[0] = 0
+    matrix[:, -1] &= np.uint64((1 << (PAPER_N & 63)) - 1)
+    bitmap = BitmapMatrix(
+        "numpy", PAPER_N, PAPER_WORDS,
+        item_index={item: item for item in range(1, 201)}, matrix=matrix,
+    )
+    pairs = list(combinations(range(1, 41), 2))
+    rows = bitmap_mod._translate_rows(
+        bitmap, np.asarray(pairs, dtype=np.int64).reshape(-1)
+    )
+    assert 40 * PAPER_WORDS * 64 * 4 > bitmap_mod._GEMM_MAX_EXPANDED_BYTES
+    counts, peak = _traced_peak(
+        lambda: bitmap_mod._try_pairs_gemm(bitmap, rows, len(pairs))
+    )
+    assert counts is not None
+    gathered = bitmap_mod._count_gather(matrix, rows.reshape(-1, 2), 2048)
+    assert counts.tolist() == gathered.tolist()
+    # The cap, plus the referenced rows' packed copy.
+    assert peak <= (
+        bitmap_mod._GEMM_MAX_EXPANDED_BYTES + 40 * PAPER_WORDS * 8
+        + (256 << 10)
+    )
