@@ -558,9 +558,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 population = range(len(db))
                 tids = rng.sample(population, min(n, max(len(db) - 1, 0)))
                 db, delta = db.delete(tids)
-            maintenance = service.apply_delta(
-                db, delta, backend=backend, guard=guard
-            )
+            maintenance = service.apply_delta(db, delta, guard=guard)
             delta_reports.append(maintenance)
             probed = sum(r.probed for r in maintenance.refreshes)
             print(f"churn[{step}] {op}:{n} -> {len(db)} transactions "
@@ -795,11 +793,18 @@ def _build_server(
     backend_name: str = "bitmap",
     journal_path: Optional[str] = None,
 ):
-    """A QueryServer over the quickstart workload (serve/replay share it)."""
+    """A QueryServer over the quickstart workload (serve/replay share it).
+
+    The server gets the backend *spec*, so every execution resolves a
+    backend of its own: concurrent handler threads never share one
+    backend's matrix cache or pass statistics.  The spec is resolved
+    once here only to reject a bad name at start-up.
+    """
     from repro.serve.admission import TenantRegistry
     from repro.serve.server import QueryServer
     from repro.serve.service import QueryService
 
+    make_backend(backend_name)
     workload = quickstart_workload(n_transactions=transactions, seed=seed)
     service = QueryService(
         max_entries=cache_entries,
@@ -821,7 +826,7 @@ def _build_server(
         max_width=max_width,
         queue_limit=queue_limit,
         default_minsup=minsup,
-        backend=make_backend(backend_name),
+        backend=backend_name,
     )
     return workload, core
 

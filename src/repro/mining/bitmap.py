@@ -124,8 +124,7 @@ class BitmapMatrix:
     """
 
     __slots__ = ("kind", "n_transactions", "n_words", "item_index",
-                 "matrix", "masks", "row_lookup", "row_supports",
-                 "n_physical", "tid_phys")
+                 "matrix", "masks", "row_lookup", "row_supports")
 
     def __init__(self, kind, n_transactions, n_words,
                  item_index=None, matrix=None, masks=None):
@@ -139,14 +138,6 @@ class BitmapMatrix:
         self.row_lookup = None
         #: lazy per-row popcounts: the supports a level-1 batch reads
         self.row_supports = None
-        #: physical bit positions in use (>= n_transactions once deltas
-        #: have punched holes; fresh builds are dense)
-        self.n_physical = n_transactions
-        #: logical TID -> physical bit position (``None`` = identity).
-        #: Set by :func:`update_bitmap`, whose deletions zero a column
-        #: without compacting — later deltas must know where each
-        #: surviving logical transaction's bit lives.
-        self.tid_phys = None
 
 
 def build_bitmap(
@@ -192,11 +183,11 @@ def build_bitmap(
 _PACK_CHUNK = 8192
 
 
-def _pack(bitmap, transactions, first_bit: int = 0) -> None:
+def _pack(bitmap, transactions) -> None:
     """Set the bits of ``transactions`` in ``bitmap.matrix`` in place.
 
-    Transaction ``j`` sets bit ``first_bit + j`` in the row of each of
-    its items (every item must already have a row).  Each chunk is
+    Transaction ``j`` sets bit ``j`` in the row of each of its items
+    (every item must already have a row).  Each chunk is
     flattened with ``numpy.fromiter``, its item ids translated to rows
     through :func:`_translate_rows`, and its bits OR-ed into the matrix
     by one ``bitwise_or.at`` over flat cell indices — no Python object
@@ -213,103 +204,13 @@ def _pack(bitmap, transactions, first_bit: int = 0) -> None:
         if not len(flat):
             continue
         tids = _np.repeat(
-            _np.arange(first_bit + start, first_bit + start + len(chunk),
-                       dtype=_np.int64),
-            lengths,
+            _np.arange(start, start + len(chunk), dtype=_np.int64), lengths
         )
         _np.bitwise_or.at(
             cells,
             _translate_rows(bitmap, flat) * n_words + (tids >> 6),
             _np.left_shift(_np.uint64(1), (tids & 63).astype(_np.uint64)),
         )
-
-
-def update_bitmap(
-    bitmap: BitmapMatrix,
-    added: Sequence[Tuple[int, ...]],
-    removed_tids: Sequence[int] = (),
-) -> BitmapMatrix:
-    """Derive the bitmap of ``base + added - removed`` without repacking.
-
-    Copy-on-write: the input matrix (possibly still cached under the old
-    content digest) is never mutated.  Deletions **zero the TID's bit
-    column without compacting** — a zeroed bit contributes nothing to any
-    row-AND popcount, so supports come out exactly as a fresh build of
-    the mutated list would produce them — and appends claim fresh
-    physical bit positions past ``n_physical``.  The logical-to-physical
-    TID map (:attr:`BitmapMatrix.tid_phys`) keeps chained deltas sound:
-    ``n_transactions`` stays the *logical* count, so probe metering
-    (``probes * n_transactions``) remains bit-identical to cold counting.
-
-    ``removed_tids`` are logical TIDs of the *base* list, matching
-    :class:`~repro.db.delta.DatasetDelta` semantics.
-    """
-    n_old = bitmap.n_transactions
-    removed = sorted(set(removed_tids))
-    for tid in removed:
-        if not 0 <= tid < n_old:
-            raise ExecutionError(
-                f"update_bitmap: TID {tid} out of range for bitmap of "
-                f"{n_old} transactions"
-            )
-    added = [tuple(t) for t in added]
-    phys = bitmap.tid_phys  # None = identity
-    removed_phys = [tid if phys is None else phys[tid] for tid in removed]
-    drop = set(removed)
-    if phys is None:
-        survivors_phys = [t for t in range(n_old) if t not in drop]
-    else:
-        survivors_phys = [phys[t] for t in range(n_old) if t not in drop]
-    n_physical = bitmap.n_physical + len(added)
-    new_tid_phys = survivors_phys + list(
-        range(bitmap.n_physical, n_physical)
-    )
-    n_words = (n_physical + 63) >> 6
-
-    if bitmap.kind == "int":
-        masks = dict(bitmap.masks)
-        if removed_phys:
-            clear = 0
-            for p in removed_phys:
-                clear |= 1 << p
-            keep = ~clear
-            masks = {item: mask & keep for item, mask in masks.items()}
-        for offset, transaction in enumerate(added):
-            bit = 1 << (bitmap.n_physical + offset)
-            for item in transaction:
-                masks[item] = masks.get(item, 0) | bit
-        out = BitmapMatrix("int", len(new_tid_phys), n_words, masks=masks)
-    else:
-        item_index = dict(bitmap.item_index)
-        new_items = sorted(
-            {i for t in added for i in t} - item_index.keys()
-        )
-        n_rows_old = bitmap.matrix.shape[0]
-        matrix = _np.zeros(
-            (n_rows_old + len(new_items), n_words), dtype=_np.uint64
-        )
-        matrix[:n_rows_old, :bitmap.n_words] = bitmap.matrix
-        for row, item in enumerate(new_items, start=n_rows_old):
-            item_index[item] = row
-        if removed_phys:
-            pos = _np.asarray(removed_phys, dtype=_np.uint64)
-            clear = _np.zeros(n_words, dtype=_np.uint64)
-            _np.bitwise_or.at(
-                clear,
-                (pos >> _np.uint64(6)).astype(_np.intp),
-                _np.uint64(1) << (pos & _np.uint64(63)),
-            )
-            # Row 0 (the reserved all-zero row) is unaffected by &= ~clear.
-            matrix &= ~clear
-        out = BitmapMatrix(
-            "numpy", len(new_tid_phys), n_words,
-            item_index=item_index, matrix=matrix,
-        )
-        _pack(out, added, first_bit=bitmap.n_physical)
-    out.n_physical = n_physical
-    if removed or phys is not None:
-        out.tid_phys = new_tid_phys
-    return out
 
 
 def domain_view(bitmap: BitmapMatrix, domain) -> BitmapMatrix:
@@ -349,8 +250,6 @@ def domain_view(bitmap: BitmapMatrix, domain) -> BitmapMatrix:
             item_index={e: row for row, e in enumerate(elements, start=1)},
             matrix=matrix,
         )
-    view.n_physical = bitmap.n_physical
-    view.tid_phys = bitmap.tid_phys
     return view
 
 
@@ -725,8 +624,6 @@ class BitmapBackend:
         #: matrix packings performed (cache misses); equal-content lists
         #: must not bump this twice.
         self.builds = 0
-        #: matrices derived by :meth:`apply_delta` instead of repacking
-        self.delta_updates = 0
         self.stats = BitmapStats(kernel="numpy" if self.use_numpy else "int")
 
     def _fingerprint(self, transactions) -> str:
@@ -773,29 +670,6 @@ class BitmapBackend:
         else:
             self.stats.record_cache_hit()
         return index.view
-
-    def apply_delta(self, new_transactions, delta) -> bool:
-        """Seed the matrix cache for ``new_transactions`` from the base.
-
-        The cache is keyed by content digest and the delta names its
-        base digest, so when the base matrix is still cached the new
-        list's matrix is derived with :func:`update_bitmap` (bit masking
-        + row appends) instead of repacked — subsequent ``count`` calls
-        over the new list hit it directly.  Returns whether a derivation
-        happened (``False`` when the base matrix was never built or has
-        been evicted; the next ``count`` then just packs cold, which is
-        always correct).
-        """
-        base = self._cache.get(delta.base_digest)
-        if base is None:
-            return False
-        updated = update_bitmap(base, delta.added, delta.removed_tids)
-        key = self._fingerprint(new_transactions)
-        if len(self._cache) >= self.max_cached_matrices:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = updated
-        self.delta_updates += 1
-        return True
 
     def count(
         self,

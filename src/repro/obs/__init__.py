@@ -12,7 +12,7 @@ calls per mining level of an uninstrumented build.
 See ``docs/observability.md`` for the API guide and report schema.
 """
 
-from repro.obs.events import EVENT_KINDS, NULL_JOURNAL, EventJournal, read_journal
+from repro.obs.events import EVENT_KINDS, EventJournal, read_journal
 from repro.obs.export import (
     lint_prometheus,
     render_chrome_trace,
@@ -32,7 +32,7 @@ from repro.obs.report import (
     pruning_summary,
     render_pruning_table,
 )
-from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer, resolve_tracer
+from repro.obs.trace import NULL_TRACER, Span, Tracer, resolve_tracer
 
 __all__ = [
     "configure_logging",
@@ -45,7 +45,6 @@ __all__ = [
     "parse_key",
     "EVENT_KINDS",
     "EventJournal",
-    "NULL_JOURNAL",
     "read_journal",
     "render_prometheus",
     "lint_prometheus",
@@ -53,7 +52,6 @@ __all__ = [
     "validate_chrome_trace",
     "NULL_METRICS",
     "NULL_TRACER",
-    "NullTracer",
     "Span",
     "Tracer",
     "resolve_tracer",

@@ -70,6 +70,7 @@ EVENT_KINDS = frozenset(
         "batch_execute",
         "service_clear",
         # fault-tolerance narration (docs/fault-tolerance.md)
+        "disk_retry",
         "disk_error",
         "disk_degraded",
         "disk_recovered",
@@ -334,48 +335,3 @@ def read_journal(path: str) -> List[Dict[str, Any]]:
                 events.append(json.loads(line))
     return events
 
-
-class _NullJournal:
-    """Inert journal for telemetry-disabled services."""
-
-    path = None
-    seq = 0
-    dropped = 0
-    rotations = 0
-    io_errors = 0
-    rotation_failures = 0
-    degraded = False
-
-    def record(self, kind: str, **fields: Any) -> None:
-        return None
-
-    def tail(self, n: Optional[int] = None) -> List[Dict[str, Any]]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def __iter__(self):
-        return iter(())
-
-    def counts(self) -> Dict[str, int]:
-        return {}
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "seq": 0,
-            "dropped": 0,
-            "rotations": 0,
-            "io_errors": 0,
-            "rotation_failures": 0,
-            "degraded": False,
-            "path": None,
-            "counts": {},
-            "events": [],
-        }
-
-    def close(self) -> None:
-        return None
-
-
-NULL_JOURNAL = _NullJournal()

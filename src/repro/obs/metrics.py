@@ -17,8 +17,12 @@ value (last write wins), histograms fold bucket-exactly — which is how
 parallel-shard registries and per-run registries roll up into a
 process-lifetime one.
 
-A :data:`NULL_METRICS` singleton mirrors the null tracer so disabled
-runs pay one no-op call per recording site.
+Recording is switched off per registry through
+:attr:`MetricsRegistry.enabled`: the :data:`NULL_METRICS` singleton is
+a registry with it set to ``False``, whose recorders (and
+:meth:`~MetricsRegistry.merge`) return at their top, so disabled runs
+pay one early-returning call per recording site and every read sees an
+empty registry.
 """
 
 from __future__ import annotations
@@ -142,6 +146,8 @@ class MetricsRegistry:
         default_factory=threading.RLock, repr=False, compare=False
     )
 
+    #: ``False`` on :data:`NULL_METRICS`: every recorder and
+    #: :meth:`merge` return at their top, so the registry stays empty.
     enabled = True
 
     # ------------------------------------------------------------------
@@ -149,17 +155,23 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def inc(self, name: str, value: float = 1, **labels: Any) -> None:
         """Add ``value`` to a (monotone) counter."""
+        if not self.enabled:
+            return
         key = _key(name, labels)
         with self._lock:
             self.counters[key] = self.counters.get(key, 0) + value
 
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
         """Set a gauge to its latest value."""
+        if not self.enabled:
+            return
         with self._lock:
             self.gauges[_key(name, labels)] = value
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         """Feed one observation into a histogram."""
+        if not self.enabled:
+            return
         key = _key(name, labels)
         with self._lock:
             histogram = self.histograms.get(key)
@@ -204,18 +216,15 @@ class MetricsRegistry:
         This is how parallel-shard registries fold into the run registry
         and per-run registries into a :class:`ServiceTelemetry`'s
         process-lifetime registry; before it existed, shard metrics
-        beyond ``ParallelStats`` were silently dropped.
+        beyond ``ParallelStats`` were silently dropped.  A disabled
+        registry folds nothing in.
         """
+        if not self.enabled:
+            return self
         # Snapshot ``other`` under its own lock first, then fold under
         # ours — never both at once, so two registries can merge in
         # either direction without a lock-order cycle.
-        other_lock = getattr(other, "_lock", None)
-        if other_lock is not None:
-            with other_lock:
-                counters = dict(other.counters)
-                gauges = dict(other.gauges)
-                histograms = {k: h.copy() for k, h in other.histograms.items()}
-        else:
+        with other._lock:
             counters = dict(other.counters)
             gauges = dict(other.gauges)
             histograms = {k: h.copy() for k, h in other.histograms.items()}
@@ -267,40 +276,8 @@ class MetricsRegistry:
         return registry
 
 
-class _NullMetrics:
-    """Inert registry handed out by the null tracer."""
-
-    enabled = False
-    counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
-    histograms: Dict[str, QuantileHistogram] = {}
-
-    def inc(self, name: str, value: float = 1, **labels: Any) -> None:
-        return None
-
-    def set_gauge(self, name: str, value: float, **labels: Any) -> None:
-        return None
-
-    def observe(self, name: str, value: float, **labels: Any) -> None:
-        return None
-
-    def counter(self, name: str, **labels: Any) -> float:
-        return 0
-
-    def gauge(self, name: str, **labels: Any) -> None:
-        return None
-
-    def histogram(self, name: str, **labels: Any) -> None:
-        return None
-
-    def merge(self, other: "MetricsRegistry") -> "_NullMetrics":
-        return self
-
-    def as_dict(self) -> Dict[str, Dict[str, Any]]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def to_state(self) -> Dict[str, Dict[str, Any]]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-NULL_METRICS = _NullMetrics()
+#: The disabled registry: the default of every instrumented call site
+#: (the null tracer's ``metrics``).  Its recorders return at their top,
+#: so it stays empty however many runs and threads share it.
+NULL_METRICS = MetricsRegistry()
+NULL_METRICS.enabled = False

@@ -11,9 +11,12 @@ tree serializes into the run report (:mod:`repro.obs.report`), and
 ``CFQResult.explain()`` renders its per-level pruning table from it.
 
 Tracing is **off by default**: every instrumented call site takes a
-tracer that defaults to the module's :data:`NULL_TRACER`, whose
-``span()`` returns one preallocated no-op context manager — a disabled
-run pays a single attribute lookup and method call per *level*, never
+tracer that defaults to the module's :data:`NULL_TRACER` — a
+:class:`Tracer` switched off through :attr:`Tracer.enabled`, over the
+disabled :data:`~repro.obs.metrics.NULL_METRICS` — whose ``span()``
+returns at its top with one shared ``contextlib.nullcontext`` yielding
+the inert :data:`NULL_SPAN`, and whose other recorders drop their
+input.  A disabled run pays a single method call per *level*, never
 per candidate (the overhead micro-benchmark in
 ``benchmarks/test_obs_overhead.py`` holds this under 3%).
 
@@ -31,6 +34,7 @@ structured attributes (JSON-serializable values only)::
 
 from __future__ import annotations
 
+import contextlib
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
@@ -144,6 +148,8 @@ class Tracer:
     tracer lets call sites thread a single object through the pipeline.
     """
 
+    #: ``False`` on :data:`NULL_TRACER`: ``span()`` hands out the
+    #: shared inert span and records nothing, and so do the others.
     enabled = True
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None):
@@ -154,8 +160,12 @@ class Tracer:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def span(self, name: str, **attributes: Any) -> _SpanHandle:
+    def span(
+        self, name: str, **attributes: Any
+    ) -> contextlib.AbstractContextManager[Span]:
         """Open a child span of the current span (or a new root)."""
+        if not self.enabled:
+            return _NULL_CONTEXT
         span = Span(name, attributes)
         parent = self._stack[-1] if self._stack else None
         (parent.children if parent is not None else self.roots).append(span)
@@ -168,6 +178,8 @@ class Tracer:
     def annotate(self, **attributes: Any) -> None:
         """Attach attributes to the innermost open span (no-op outside
         any span)."""
+        if not self.enabled:
+            return
         span = self.current()
         if span is not None:
             span.set(**attributes)
@@ -175,6 +187,8 @@ class Tracer:
     def event(self, name: str, **attributes: Any) -> None:
         """Record an event on the innermost open span (dropped when no
         span is open)."""
+        if not self.enabled:
+            return
         span = self.current()
         if span is not None:
             span.add_event(name, **attributes)
@@ -202,11 +216,11 @@ class Tracer:
 
 
 class _NullSpan(Span):
-    """The shared inert span handed out by :class:`NullTracer`.
+    """The shared inert span the disabled tracer hands out.
 
     Mutating methods drop their input so hot loops can call
     ``span.set(...)`` unconditionally; one instance is shared by every
-    disabled call site.
+    disabled call site, so it must never accumulate attributes.
     """
 
     def set(self, **attributes: Any) -> "Span":
@@ -216,58 +230,11 @@ class _NullSpan(Span):
         return None
 
 
-class _NullHandle:
-    """Reusable no-op context manager yielding the shared null span."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> Span:
-        return NULL_SPAN
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-class NullTracer:
-    """The disabled tracer: every operation is a no-op.
-
-    ``span()`` ignores its arguments and returns one preallocated
-    handle, so the cost of a disabled call site is one method call —
-    no Span allocation, no clock reads.
-    """
-
-    enabled = False
-
-    def __init__(self):
-        self.roots: List[Span] = []
-        self.metrics = NULL_METRICS
-
-    def span(self, name: str, **attributes: Any) -> _NullHandle:
-        return _NULL_HANDLE
-
-    def current(self) -> Optional[Span]:
-        return None
-
-    def annotate(self, **attributes: Any) -> None:
-        return None
-
-    def event(self, name: str, **attributes: Any) -> None:
-        return None
-
-    def walk(self) -> Iterator[Span]:
-        return iter(())
-
-    def find(self, name, predicate=None) -> List[Span]:
-        return []
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"spans": []}
-
-
 #: Shared singletons: the default tracer of every instrumented call site.
 NULL_SPAN = _NullSpan("null")
-_NULL_HANDLE = _NullHandle()
-NULL_TRACER = NullTracer()
+_NULL_CONTEXT = contextlib.nullcontext(NULL_SPAN)
+NULL_TRACER = Tracer(metrics=NULL_METRICS)
+NULL_TRACER.enabled = False
 
 
 def resolve_tracer(tracer) -> "Tracer":

@@ -23,13 +23,7 @@ from repro.runtime.faults import active as active_fault_plan
 from repro.runtime.faults import install as install_fault_plan
 from repro.runtime.faults import installed as installed_fault_plan
 from repro.runtime.faults import uninstall as uninstall_fault_plan
-from repro.runtime.guard import (
-    NULL_GUARD,
-    GuardTrip,
-    NullGuard,
-    RunGuard,
-    resolve_guard,
-)
+from repro.runtime.guard import NULL_GUARD, GuardTrip, RunGuard, resolve_guard
 
 __all__ = [
     "CHECKPOINT_FILENAME",
@@ -43,7 +37,6 @@ __all__ = [
     "GuardTrip",
     "InjectedFault",
     "NULL_GUARD",
-    "NullGuard",
     "RunGuard",
     "active_fault_plan",
     "dataset_digest",

@@ -21,8 +21,11 @@ cleanly and lets the optimizer package partial results
 (``CFQResult.status == "partial"``).
 
 The disabled path is free: every instrumented call site takes a guard
-defaulting to :data:`NULL_GUARD`, whose methods are no-ops, and the hot
-counting kernel only arms its per-transaction tick when
+defaulting to :data:`NULL_GUARD` — a :class:`RunGuard` switched off
+through :attr:`RunGuard.enabled` — whose methods return at their top,
+so it never arms a clock, records a level, sets a cancel flag or
+installs a signal handler however many runs and threads share it.  The
+list counting kernels only arm their per-transaction tick when
 ``guard.enabled`` is true (the overhead budget is enforced in
 ``benchmarks/test_obs_overhead.py``).
 """
@@ -132,6 +135,8 @@ class RunGuard:
         counting loops.
     """
 
+    #: ``False`` on :data:`NULL_GUARD`: every method that arms, checks
+    #: or records returns at its top, and :meth:`telemetry` is empty.
     enabled = True
 
     def __init__(
@@ -172,7 +177,7 @@ class RunGuard:
     # ------------------------------------------------------------------
     def start(self) -> "RunGuard":
         """Arm the deadline clock (idempotent; resumes keep the first)."""
-        if self._started_at is None:
+        if self.enabled and self._started_at is None:
             self._started_at = time.monotonic()
         return self
 
@@ -192,7 +197,7 @@ class RunGuard:
         Async-signal-safe (two attribute writes); this is what the
         :meth:`signals` handlers call on SIGINT/SIGTERM.
         """
-        if self._cancel_reason is None:
+        if self.enabled and self._cancel_reason is None:
             self._cancel_reason = reason
             self._cancel_detail = detail or f"cancellation requested ({reason})"
 
@@ -201,9 +206,12 @@ class RunGuard:
         """Route SIGINT/SIGTERM into :meth:`request_cancel` while active.
 
         The previous handlers are restored on exit.  Outside the main
-        thread (where ``signal.signal`` raises), this is a no-op, so
-        library callers can use it unconditionally.
+        thread (where ``signal.signal`` raises), and on a disabled
+        guard, this is a no-op, so library callers can use it
+        unconditionally.
         """
+        if not self.enabled:
+            signums = ()
         installed = {}
 
         def _handler(signum, frame):
@@ -231,6 +239,8 @@ class RunGuard:
         trip; re-raising on every later check keeps a tripped guard from
         letting work continue through a swallowed exception.
         """
+        if not self.enabled:
+            return
         if self.trip is not None:
             raise self._interrupt(self.trip)
         self._checks += 1
@@ -265,6 +275,8 @@ class RunGuard:
     def tick(self, units: int = 1, where: str = "counting") -> None:
         """Cheap in-loop check: accumulate work units, run a full
         :meth:`check` every :attr:`check_every` of them."""
+        if not self.enabled:
+            return
         self._tick_units += units
         if self._tick_units >= self.check_every:
             self._tick_units = 0
@@ -272,6 +284,8 @@ class RunGuard:
 
     def check_candidates(self, n_candidates: int, var: str, level: int) -> None:
         """Enforce the per-level candidate budget, pre-counting."""
+        if not self.enabled:
+            return
         if self.max_candidates is not None and n_candidates > self.max_candidates:
             raise self._trip(
                 "candidates",
@@ -287,6 +301,8 @@ class RunGuard:
         Subclassable test hook: deterministic interruption tests override
         this to trip after a chosen number of completed levels.
         """
+        if not self.enabled:
+            return
         current = self.levels_completed.get(var, 0)
         if level > current:
             self.levels_completed[var] = level
@@ -321,7 +337,10 @@ class RunGuard:
     # ------------------------------------------------------------------
     def telemetry(self) -> Dict[str, Any]:
         """The run report's ``budget`` block: configured budgets and how
-        much of each was consumed (plus the trip, if one happened)."""
+        much of each was consumed (plus the trip, if one happened);
+        empty for a disabled guard."""
+        if not self.enabled:
+            return {}
         return {
             "budgets": {
                 "deadline_seconds": self.deadline_seconds,
@@ -343,50 +362,9 @@ class RunGuard:
         }
 
 
-class NullGuard:
-    """The disabled guard: every operation is a no-op.
-
-    Mirrors the ``NULL_TRACER`` pattern — instrumented call sites take a
-    guard defaulting to the shared :data:`NULL_GUARD`, and hot loops gate
-    their per-batch ticks on ``guard.enabled``, so an unguarded run pays
-    at most one attribute read per call site.
-    """
-
-    enabled = False
-    trip = None
-    levels_completed: Dict[str, int] = {}
-
-    def start(self) -> "NullGuard":
-        return self
-
-    def elapsed(self) -> float:
-        return 0.0
-
-    def request_cancel(self, reason: str = "cancelled", detail: str = "") -> None:
-        return None
-
-    @contextlib.contextmanager
-    def signals(self, signums=None):
-        yield self
-
-    def check(self, where: str = "") -> None:
-        return None
-
-    def tick(self, units: int = 1, where: str = "counting") -> None:
-        return None
-
-    def check_candidates(self, n_candidates: int, var: str, level: int) -> None:
-        return None
-
-    def level_completed(self, var: str, level: int) -> None:
-        return None
-
-    def telemetry(self) -> Dict[str, Any]:
-        return {}
-
-
 #: Shared singleton: the default guard of every instrumented call site.
-NULL_GUARD = NullGuard()
+NULL_GUARD = RunGuard()
+NULL_GUARD.enabled = False
 
 
 def resolve_guard(guard) -> RunGuard:

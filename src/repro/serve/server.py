@@ -184,7 +184,9 @@ class QueryServer:
     default_minsup:
         Support threshold for queries that set none.
     backend:
-        Counting backend handed to every execution.
+        Counting backend handed to every execution.  A spec (a name such
+        as ``"bitmap"``) gives each execution a backend of its own, so
+        handler threads share no backend state.
     """
 
     def __init__(

@@ -404,17 +404,24 @@ class QueryService:
 
     def _disk_attempts(self, op: str, attempt: Callable[[], Any]) -> Any:
         """Run one disk operation with bounded retry + backoff; raises
-        the last ``OSError`` once the retries are spent."""
-        last: Optional[OSError] = None
+        the last ``OSError`` once the retries are spent.  Each failed
+        attempt that a later one recovers is reported as a retry (not a
+        ``disk_errors`` failure: the operation succeeded)."""
+        failures: List[OSError] = []
         for n in range(self.disk_retries + 1):
             if n and self.disk_backoff_seconds:
                 time.sleep(self.disk_backoff_seconds * (2 ** (n - 1)))
             try:
-                return attempt()
+                outcome = attempt()
             except OSError as exc:
-                last = exc
-        assert last is not None
-        raise last
+                failures.append(exc)
+                continue
+            for error in failures:
+                self.telemetry.record_disk_retry(
+                    op, f"{type(error).__name__}: {error}"
+                )
+            return outcome
+        raise failures[-1]
 
     def _write_disk(self, key: str, db: TransactionDatabase, text: str) -> None:
         path = self._disk_path(key, db)
@@ -864,7 +871,6 @@ class QueryService:
         self,
         new_db: TransactionDatabase,
         delta: DatasetDelta,
-        backend=None,
         tracer=None,
         guard=None,
     ) -> DeltaMaintenanceReport:
@@ -903,12 +909,6 @@ class QueryService:
         )
         report.results_invalidated = self._results.invalidate_tag(base_fp)
         report.disk_invalidated = self._sweep_disk(base_fp)
-        # A delta-capable counting backend (bitmap) can derive the new
-        # dataset's packed matrix from the cached base one, so later
-        # counting passes skip the repack.  Purely an optimization —
-        # a backend without the hook just packs cold on first use.
-        if backend is not None and hasattr(backend, "apply_delta"):
-            backend.apply_delta(new_db.transactions, delta)
         for key, entry in self._skeletons.items():
             if entry.tag != base_fp:
                 continue

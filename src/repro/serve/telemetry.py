@@ -29,11 +29,13 @@ exports as Prometheus text or a JSON snapshot (``repro stats``,
 
 Telemetry is on by default — the serving layer's per-query overhead is
 a handful of dict operations against runs that are measured in
-milliseconds — but ``ServiceTelemetry(enabled=False)`` (or
-``QueryService(telemetry=False)``) turns every recording method into an
-early return.  The *engine's* disabled-path guarantee is untouched:
-uncached runs never construct a service, and NULL_TRACER/NULL_METRICS
-call sites are unchanged.
+milliseconds — but ``ServiceTelemetry(enabled=False)`` turns every
+recording method into an early return, keeps its journal memory-only
+(no file is opened) and hands the caches no departure hook.
+``QueryService(telemetry=False)`` shares one such instance,
+:data:`NULL_TELEMETRY`.  The *engine's* disabled-path guarantee is
+untouched: uncached runs never construct a service, and
+NULL_TRACER/NULL_METRICS call sites are unchanged.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import json
 import time
 from typing import Any, Callable, Dict, Optional
 
-from repro.obs.events import NULL_JOURNAL, EventJournal
+from repro.obs.events import EventJournal
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import MetricsRegistry
 
@@ -74,8 +76,8 @@ class ServiceTelemetry:
         Monotonic clock shared with the service (drives eviction ages
         and journal timestamps).
     enabled:
-        ``False`` makes every recording method an early return and the
-        journal the null journal.
+        ``False`` makes every recording method an early return and keeps
+        the journal memory-only (``journal_path`` is not opened).
     """
 
     def __init__(
@@ -89,12 +91,11 @@ class ServiceTelemetry:
         self.clock = clock
         self.started_at = clock()
         self.metrics = MetricsRegistry()
-        if not enabled:
-            self.journal = NULL_JOURNAL
-        elif journal is not None:
-            self.journal = journal
-        else:
-            self.journal = EventJournal(path=journal_path, clock=clock)
+        if journal is None:
+            journal = EventJournal(
+                path=journal_path if enabled else None, clock=clock
+            )
+        self.journal = journal
         self.runs_merged = 0
 
     # ------------------------------------------------------------------
@@ -197,6 +198,13 @@ class ServiceTelemetry:
     # ------------------------------------------------------------------
     # Fault tolerance (docs/fault-tolerance.md)
     # ------------------------------------------------------------------
+    def record_disk_retry(self, op: str, error: str) -> None:
+        """One failed disk-tier attempt that a later retry recovered."""
+        if not self.enabled:
+            return
+        self.metrics.inc("disk_retries", op=op)
+        self.journal.record("disk_retry", op=op, error=error[:120])
+
     def record_disk_error(self, op: str, error: str, state: str) -> None:
         """One absorbed disk-tier I/O failure (after its own retries)."""
         if not self.enabled:
@@ -327,11 +335,13 @@ class ServiceTelemetry:
     # ------------------------------------------------------------------
     def cache_event_hook(
         self, tier: str
-    ) -> Callable[[str, str, Any], None]:
+    ) -> Optional[Callable[[str, str, Any], None]]:
         """The ``on_event`` callback for one cache tier (``result`` or
         ``skeleton``): journals the departure and feeds the
-        eviction-age histogram/gauge."""
-
+        eviction-age histogram/gauge.  ``None`` when disabled, which
+        the caches treat as "no hook"."""
+        if not self.enabled:
+            return None
         kind_map = {
             "evict": f"{tier}_evict",
             "replace": f"{tier}_evict",
@@ -393,10 +403,8 @@ class ServiceTelemetry:
     def merge_run(self, registry: Optional[MetricsRegistry]) -> None:
         """Fold one run's metrics registry into the lifetime registry
         (counters add, gauges last-write, histograms merge)."""
-        if not self.enabled or registry is None:
+        if not self.enabled or registry is None or not registry.enabled:
             return
-        if not getattr(registry, "enabled", False):
-            return  # NULL_METRICS
         self.metrics.merge(registry)
         self.runs_merged += 1
 
@@ -441,112 +449,8 @@ class ServiceTelemetry:
         return render_prometheus(self.metrics)
 
 
-class _NullTelemetry:
-    """Inert telemetry: the ``QueryService(telemetry=False)`` path."""
-
-    enabled = False
-    metrics = MetricsRegistry()  # never written (every recorder returns)
-    journal = NULL_JOURNAL
-    runs_merged = 0
-
-    def record_serve(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_lookup(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_store(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_guard_trip(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_admit(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_reject(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_shed(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_dedup(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_coalesce(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def set_queue_depth(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_disk_error(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_disk_transition(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_quarantine(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_refresh_fallback(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_checkpoint_degraded(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_skeleton_build(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_skeleton_reuse(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_batch(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_delta(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_sweep(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_clear(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def cache_event_hook(self, tier: str) -> None:
-        return None  # LRUCache treats a None on_event as "no hook"
-
-    def update_cache_gauges(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def merge_run(self, registry: Any) -> None:
-        return None
-
-    def outcome_latencies(self) -> Dict[str, Any]:
-        return {}
-
-    def snapshot(self, stats: Any = None) -> Dict[str, Any]:
-        return {
-            "schema": TELEMETRY_SCHEMA,
-            "version": TELEMETRY_VERSION,
-            "enabled": False,
-            "uptime_seconds": 0.0,
-            "runs_merged": 0,
-            "outcomes": {},
-            "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
-            "journal": NULL_JOURNAL.snapshot(),
-        }
-
-    def write(self, path: str, stats: Any = None) -> str:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.snapshot(stats=stats), handle, indent=2)
-            handle.write("\n")
-        return path
-
-    def to_prometheus(self) -> str:
-        return ""
-
-
-NULL_TELEMETRY = _NullTelemetry()
+#: The disabled telemetry ``QueryService(telemetry=False)`` shares.
+NULL_TELEMETRY = ServiceTelemetry(enabled=False)
 
 
 def resolve_telemetry(

@@ -35,15 +35,12 @@ from hypothesis import strategies as st
 from repro.db.stats import OpCounters
 from repro.mining.apriori import mine_frequent
 from repro.mining.backends import HybridBackend
-from repro.db.transactions import TransactionDatabase
-from repro.errors import ExecutionError
 from repro.mining.bitmap import (
     HAVE_NUMPY,
     BitmapBackend,
     bitmap_probe_cost,
     build_bitmap,
     count_with_bitmap,
-    update_bitmap,
 )
 from repro.runtime.guard import RunGuard
 
@@ -190,14 +187,14 @@ def _tid_truth(transactions):
 )
 def test_vectorized_packer_matches_a_set_oracle(transactions, added, chunk):
     """The one numpy packer, fed in chunks of any size, sets exactly the
-    set oracle's bits — packing a fresh list and appending to one."""
+    set oracle's bits — packing a list and a longer one."""
     from unittest import mock
 
     from repro.mining import bitmap as bitmap_mod
 
     with mock.patch.object(bitmap_mod, "_PACK_CHUNK", chunk):
         fresh = build_bitmap(transactions, use_numpy=True)
-        grown = update_bitmap(fresh, added)
+        grown = build_bitmap(transactions + added, use_numpy=True)
     for bitmap, rows in ((fresh, transactions), (grown, transactions + added)):
         truth = _tid_truth(rows)
         assert set(bitmap.item_index) == set(truth)
@@ -570,109 +567,6 @@ def test_checkpoint_resume_with_bitmap_backend_is_bit_identical(tmp_path):
     assert resumed.pairs() == baseline.pairs()
     assert resumed.raw.bound_histories == baseline.raw.bound_histories
     assert resumed.counters.as_dict() == baseline.counters.as_dict()
-
-
-# ----------------------------------------------------------------------
-# Incremental updates: masking + row appends instead of repacking
-# ----------------------------------------------------------------------
-DELETE_PICKS = st.lists(st.integers(min_value=0, max_value=10**6), max_size=8)
-
-
-@SETTINGS
-@given(
-    transactions=TRANSACTIONS,
-    added=st.lists(TRANSACTION, max_size=10),
-    picks=DELETE_PICKS,
-    candidates=CANDIDATES,
-)
-def test_update_bitmap_counts_like_a_fresh_build(
-    transactions, added, picks, candidates
-):
-    """``update_bitmap(base, added, removed)`` answers every candidate
-    exactly like packing the mutated list cold, in both representations
-    — deletions only zero bit columns, yet no phantom support survives."""
-    removed_tids = sorted({p % len(transactions) for p in picks}) \
-        if transactions else []
-    survivors = [
-        t for tid, t in enumerate(transactions) if tid not in set(removed_tids)
-    ]
-    mutated = survivors + added
-    for use_numpy in representations():
-        base = build_bitmap(transactions, use_numpy=use_numpy)
-        updated = update_bitmap(base, added, removed_tids)
-        assert updated.n_transactions == len(mutated), use_numpy
-        fresh = build_bitmap(mutated, use_numpy=use_numpy)
-        got = count_with_bitmap(updated, candidates)
-        assert got == count_with_bitmap(fresh, candidates), use_numpy
-        assert got == set_oracle(mutated, candidates), use_numpy
-        # Copy-on-write: the base still answers for the base list.
-        assert count_with_bitmap(base, candidates) == set_oracle(
-            transactions, candidates
-        ), use_numpy
-
-
-@SETTINGS
-@given(
-    transactions=st.lists(TRANSACTION, min_size=4, max_size=40),
-    added1=st.lists(TRANSACTION, max_size=6),
-    picks=DELETE_PICKS,
-    added2=st.lists(TRANSACTION, max_size=6),
-    candidates=CANDIDATES,
-)
-def test_update_bitmap_chains_through_mixed_churn(
-    transactions, added1, picks, added2, candidates
-):
-    """Delta-of-a-delta: the logical→physical TID map keeps a second
-    update sound after deletions shifted every logical TID."""
-    step1 = list(transactions) + list(added1)
-    removed_tids = sorted({p % len(step1) for p in picks})
-    step2 = [t for tid, t in enumerate(step1) if tid not in set(removed_tids)]
-    step3 = step2 + list(added2)
-    for use_numpy in representations():
-        bitmap = build_bitmap(transactions, use_numpy=use_numpy)
-        bitmap = update_bitmap(bitmap, added1)
-        bitmap = update_bitmap(bitmap, [], removed_tids)
-        bitmap = update_bitmap(bitmap, added2)
-        assert bitmap.n_transactions == len(step3), use_numpy
-        assert count_with_bitmap(bitmap, candidates) == set_oracle(
-            step3, candidates
-        ), use_numpy
-
-
-def test_update_bitmap_rejects_out_of_range_tids():
-    bitmap = build_bitmap([(1, 2), (2, 3)], use_numpy=False)
-    with pytest.raises(ExecutionError):
-        update_bitmap(bitmap, [], [2])
-    with pytest.raises(ExecutionError):
-        update_bitmap(bitmap, [], [-1])
-
-
-def test_backend_apply_delta_seeds_the_cache_for_the_new_content():
-    """After ``apply_delta`` the mutated list's counts are served from a
-    derived matrix — no repack — and match a cold backend bit for bit."""
-    db = TransactionDatabase([[1, 2, 3], [2, 3], [1, 4], [3, 4]])
-    backend = BitmapBackend()
-    candidates = [(1, 2), (2, 3), (3, 4)]
-    backend.count(list(db.transactions), candidates, 2)
-    assert backend.stats.builds == 1
-
-    new_db, delta = db.append([[1, 2], [2, 3, 4]])
-    assert backend.apply_delta(list(new_db.transactions), delta) is True
-    assert backend.delta_updates == 1
-    warm = backend.count(list(new_db.transactions), candidates, 2)
-    assert backend.stats.builds == 1  # derived, not repacked
-
-    cold = BitmapBackend().count(list(new_db.transactions), candidates, 2)
-    assert list(warm.items()) == list(cold.items())
-
-
-def test_backend_apply_delta_declines_when_base_was_never_built():
-    db = TransactionDatabase([[1, 2], [2, 3]])
-    new_db, delta = db.delete([0])
-    backend = BitmapBackend()
-    assert backend.apply_delta(list(new_db.transactions), delta) is False
-    # Declining is harmless: the next count packs cold and is correct.
-    assert backend.count(list(new_db.transactions), [(2, 3)], 2) == {(2, 3): 1}
 
 
 # ----------------------------------------------------------------------

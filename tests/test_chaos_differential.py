@@ -22,7 +22,7 @@ import random
 import tempfile
 from functools import lru_cache
 
-from hypothesis import given, note, settings
+from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
 from repro.core.optimizer import CFQOptimizer
@@ -117,6 +117,9 @@ def _churn(db, op, n, seed):
 
 @settings(max_examples=10, deadline=None)
 @given(events=_events)
+# One ENOSPC on a store that its retry absorbs: no disk error, but the
+# retry must still leave evidence.
+@example(events=[("inject", 0, 1), ("query", 0.03, "single")])
 def test_chaos_schedule_never_serves_a_wrong_answer(events):
     clock = FakeClock()
     plan = FaultPlan(seed=11)
@@ -185,19 +188,20 @@ def test_chaos_schedule_never_serves_a_wrong_answer(events):
             f"breaker stuck {service.disk_breaker.state!r} after faults "
             f"cleared (schedule {events})"
         )
-        # Every absorbed disk failure left telemetry evidence.
+        # Every disk failure left telemetry evidence: a disk error if it
+        # outlived its retries, a journaled retry if one recovered it.
+        kinds = [e["kind"] for e in service.telemetry.journal.tail()]
         disk_fired = [
             (s, k) for s, k, _ in plan.fired
             if s.startswith("serve.disk.") and k not in ("short", "corrupt")
         ]
         if disk_fired:
-            assert service.stats.disk_errors >= 1
+            assert service.stats.disk_errors >= 1 or "disk_retry" in kinds
         quarantine_fired = [
             (s, k) for s, k, _ in plan.fired
             if s == "serve.disk.read" and k in ("short", "corrupt")
         ]
         if quarantine_fired:
-            kinds = [e["kind"] for e in service.telemetry.journal.tail()]
             assert service.stats.quarantined >= 1 or "result_miss" in kinds
         if had_faults:
             note(f"faults fired: {plan.fired}")

@@ -394,3 +394,52 @@ def test_batch_journal_out_writes_jsonl(capsys, tmp_path):
     assert "batch_execute" in kinds
     seqs = [event["seq"] for event in events]
     assert seqs == sorted(seqs)
+
+
+def test_serve_core_gives_each_execution_its_own_backend(monkeypatch):
+    """The core `repro serve` and `repro replay` build hands the server a
+    backend spec, so k distinct cold queries leave no backend holding
+    more than one query's counting passes (a shared one would hold all
+    of them, and its caches would be mutated by every handler thread)."""
+    from repro.cli import _build_server
+    from repro.mining.bitmap import BitmapBackend
+
+    passes = []  # (query index, backend) per counting pass
+    current = [None]
+    real_count = BitmapBackend.count
+
+    def count(self, *args, **kwargs):
+        passes.append((current[0], self))
+        return real_count(self, *args, **kwargs)
+
+    monkeypatch.setattr(BitmapBackend, "count", count)
+    _, core = _build_server(transactions=300, seed=7, window_seconds=0.0)
+    minsups = (0.02, 0.03, 0.04, 0.05)
+    for index, minsup in enumerate(minsups):
+        current[0] = index
+        status, body = core.handle_query(
+            {"query": QUERY_2VAR, "tenant": "t", "minsup": minsup}
+        )
+        assert status == 200, body
+        assert body["serving"]["source"] == "cold", body["serving"]
+
+    queries = {}
+    for index, backend in passes:
+        queries.setdefault(id(backend), (backend, set()))[1].add(index)
+    assert {index for index, _ in passes} == set(range(len(minsups)))
+    for backend, served in queries.values():
+        assert len(served) == 1
+        assert len(backend.stats.levels) <= sum(
+            1 for _, other in passes if other is backend
+        )
+
+
+def test_serve_rejects_an_unknown_backend_at_start_up(capsys, monkeypatch):
+    import repro.serve.server as server_module
+
+    def start_server(*args, **kwargs):
+        raise AssertionError("the server started with an unknown backend")
+
+    monkeypatch.setattr(server_module, "start_server", start_server)
+    assert main(["serve", "--transactions", "50", "--backend", "quantum"]) == 2
+    assert "unknown counting backend" in capsys.readouterr().err

@@ -178,9 +178,11 @@ def test_read_retry_rides_through_a_transient_fault(tmp_path):
     plan = FaultPlan().add("serve.disk.read", "eio", times=1)
     with faults.installed(plan):
         warm = _serve(service, 0.03)
-    # One fault, one retry: still a warm disk hit, no degradation.
+    # One fault, one retry: still a warm disk hit, no degradation, and
+    # the recovered attempt is journaled.
     assert warm.cache_info["source"] == "result-cache"
     assert service.stats.disk_errors == 0
+    assert _journal_kinds(service).count("disk_retry") == 1
 
 
 @pytest.mark.parametrize("kind", ["short", "corrupt"])

@@ -3,7 +3,7 @@
 The differential/resume behavior lives in ``test_resume_differential``;
 partial-result semantics live in ``test_partial_results``.  This file
 covers the guard itself: budgets, cooperative checks, signal routing,
-the NullGuard contract, and telemetry.
+the disabled NULL_GUARD contract, and telemetry.
 """
 
 import os
@@ -15,7 +15,6 @@ from repro.errors import ExecutionError, RunInterrupted
 from repro.runtime.guard import (
     NULL_GUARD,
     GuardTrip,
-    NullGuard,
     RunGuard,
     resolve_guard,
 )
@@ -239,11 +238,11 @@ def test_guard_trip_summary_without_levels_or_rss():
 
 
 # ----------------------------------------------------------------------
-# NullGuard contract
+# NULL_GUARD contract (a RunGuard switched off)
 # ----------------------------------------------------------------------
 def test_null_guard_is_inert():
     guard = NULL_GUARD
-    assert isinstance(guard, NullGuard)
+    assert isinstance(guard, RunGuard)
     assert guard.enabled is False
     assert guard.start() is guard
     guard.request_cancel("sigint")

@@ -13,7 +13,6 @@ import pytest
 
 from repro.obs.events import (
     EVENT_KINDS,
-    NULL_JOURNAL,
     EventJournal,
     read_journal,
 )
@@ -133,14 +132,3 @@ def test_event_kind_vocabulary_is_frozen():
     for kind in ("result_hit", "result_evict", "skeleton_store",
                  "delta_refresh", "guard_trip", "batch_execute"):
         assert kind in EVENT_KINDS
-
-
-def test_null_journal_is_inert(tmp_path):
-    NULL_JOURNAL.record("result_hit", key="x")
-    NULL_JOURNAL.record("not_even_a_kind")  # no validation, no effect
-    assert len(NULL_JOURNAL) == 0
-    assert list(NULL_JOURNAL) == []
-    assert NULL_JOURNAL.counts() == {}
-    snap = NULL_JOURNAL.snapshot()
-    assert snap["seq"] == 0 and snap["events"] == []
-    NULL_JOURNAL.close()

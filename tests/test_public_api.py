@@ -65,3 +65,42 @@ def test_readme_quickstart_executes():
             catalog.project(t0, "Price")
         )
     assert "operation counts" in result.explain()
+
+
+def test_disabled_defaults_are_the_real_classes_switched_off():
+    """Each disabled default is an instance of the class it stands in
+    for, switched off through its ``enabled`` flag, so it cannot drift
+    from that class's API; a run through the defaults leaves every
+    shared singleton as it was."""
+    from repro.core.optimizer import CFQOptimizer
+    from repro.datagen.workloads import quickstart_workload
+    from repro.obs import (
+        NULL_METRICS,
+        NULL_TRACER,
+        MetricsRegistry,
+        Tracer,
+        render_prometheus,
+    )
+    from repro.runtime import NULL_GUARD, RunGuard
+    from repro.serve import NULL_TELEMETRY, ServiceTelemetry
+
+    assert isinstance(NULL_TRACER, Tracer)
+    assert isinstance(NULL_METRICS, MetricsRegistry)
+    assert isinstance(NULL_GUARD, RunGuard)
+    assert isinstance(NULL_TELEMETRY, ServiceTelemetry)
+    for disabled in (NULL_TRACER, NULL_METRICS, NULL_GUARD, NULL_TELEMETRY):
+        assert disabled.enabled is False
+    for live in (Tracer(), MetricsRegistry(), RunGuard(), ServiceTelemetry()):
+        assert live.enabled is True
+    assert render_prometheus(NULL_TRACER.metrics) == ""
+    assert NULL_TELEMETRY.to_prometheus() == ""
+
+    workload = quickstart_workload(n_transactions=120)
+    CFQOptimizer(workload.cfq()).execute(workload.db)
+    assert NULL_TRACER.to_dict() == {"spans": []}
+    assert NULL_METRICS.as_dict() == {
+        "counters": {}, "gauges": {}, "histograms": {},
+    }
+    assert not NULL_GUARD.started
+    assert NULL_GUARD.levels_completed == {}
+    assert NULL_GUARD.telemetry() == {}

@@ -225,6 +225,17 @@ def test_disabled_telemetry_is_inert(workload):
     assert service._skeletons.on_event is None
 
 
+def test_disabled_telemetry_opens_no_journal_file(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    telemetry = ServiceTelemetry(journal_path=str(path), enabled=False)
+    telemetry.record_disk_retry("write", "OSError: boom")
+    telemetry.record_store("k" * 16, "d" * 16, 10)
+    assert telemetry.journal.path is None
+    assert not path.exists()
+    assert len(telemetry.journal) == 0
+    assert telemetry.cache_event_hook("result") is None
+
+
 def test_resolve_telemetry_contract():
     assert resolve_telemetry(False) is NULL_TELEMETRY
     fresh = resolve_telemetry(None)
