@@ -371,7 +371,9 @@ class CFQOptimizer:
         candidate logs bypass the cache, and partial (guard-tripped)
         results are never stored.  ``support_oracle`` substitutes cached
         skeleton supports for database passes (see
-        :class:`~repro.mining.dovetail.DovetailEngine`).
+        :class:`~repro.mining.dovetail.DovetailEngine`); such a run is
+        still served a hit, but is never stored, because its scans,
+        subset tests and tuples read are not a cold run's.
         """
         tracer = resolve_tracer(tracer)
         guard = resolve_guard(guard)
@@ -386,7 +388,6 @@ class CFQOptimizer:
             and checkpoint_dir is None
             and not resume
             and not keep_candidates
-            and support_oracle is None
         )
         if cacheable:
             hit = cache.lookup(db, self.cfq, cache_options)
@@ -470,7 +471,7 @@ class CFQOptimizer:
             interruption=interruption,
             guard=guard if guard.enabled else None,
         )
-        if cacheable and status == "complete":
+        if cacheable and support_oracle is None and status == "complete":
             result.cache_info = cache.store(
                 db, self.cfq, cache_options, result, elapsed
             )

@@ -587,10 +587,9 @@ class BitmapBackend:
     ``id``-keyed memo in front, exactly like
     :class:`~repro.mining.backends.VerticalBackend`'s TID-list cache:
     equal-content lists (two loads of one dataset, a shard re-sliced
-    each level) share one build, the memo pins list objects so recycled
-    ids can never alias, and ``builds`` counts actual packings so tests
-    can assert the sharing.  A :class:`DomainIndex` in place of a list
-    counts against its database's cached index instead
+    each level) share one build, and the memo pins list objects so
+    recycled ids can never alias.  A :class:`DomainIndex` in place of a
+    list counts against its database's cached index instead
     (:meth:`index_matrix`); that cache belongs to the database, not to
     this backend.  Per-pass candidate counts, words touched,
     and kernel wall time accumulate on :attr:`stats`
@@ -621,9 +620,6 @@ class BitmapBackend:
         self._cache: Dict[str, BitmapMatrix] = {}
         #: id(list) -> (list object, content digest) memo (bounded FIFO)
         self._digests: Dict[int, Tuple[object, str]] = {}
-        #: matrix packings performed (cache misses); equal-content lists
-        #: must not bump this twice.
-        self.builds = 0
         self.stats = BitmapStats(kernel="numpy" if self.use_numpy else "int")
 
     def _fingerprint(self, transactions) -> str:
@@ -644,7 +640,6 @@ class BitmapBackend:
         bitmap = self._cache.get(key)
         if bitmap is None:
             bitmap = build_bitmap(transactions, use_numpy=self.use_numpy)
-            self.builds += 1
             self.stats.record_build()
             if len(self._cache) >= self.max_cached_matrices:
                 self._cache.pop(next(iter(self._cache)))
@@ -664,7 +659,6 @@ class BitmapBackend:
             if db.has_bitmap(self.use_numpy):
                 self.stats.record_cache_hit()
             else:
-                self.builds += 1
                 self.stats.record_build()
             index.view = domain_view(db.bitmap(self.use_numpy), index.domain)
         else:

@@ -46,50 +46,6 @@ def compile_constraints(
     return bundle
 
 
-def mine_skeleton(
-    var: str,
-    domain: Domain,
-    transactions: Sequence[Tuple[int, ...]],
-    min_count: int,
-    counters: Optional[OpCounters] = None,
-    max_level: Optional[int] = None,
-    backend=None,
-    tracer=None,
-    guard=None,
-    keep_border: bool = True,
-) -> LatticeResult:
-    """Plain unconstrained Apriori over one domain — the *frequency
-    skeleton* the serving layer caches per (dataset, domain).
-
-    Exactly :func:`cap_mine` with no constraints: the complete frequent
-    lattice at ``min_count`` with exact supports, which
-    :class:`repro.serve.skeleton.SupportOracle` then substitutes for
-    database passes when serving queries at thresholds ``>= min_count``.
-    Kept as a named entry point so skeleton mining is traceable (its
-    ``cap.run`` span carries the skeleton's variable and threshold) and
-    so the batch executor has a single audited code path to mine at the
-    union (weakest) threshold of a query batch.
-
-    ``keep_border`` (default on) additionally retains the counted-but-
-    infrequent candidates per level — the negative border that turns
-    skeleton maintenance under churn into delta arithmetic
-    (:mod:`repro.serve.delta`).
-    """
-    return cap_mine(
-        var=var,
-        domain=domain,
-        transactions=transactions,
-        min_count=min_count,
-        constraints=(),
-        counters=counters,
-        max_level=max_level,
-        backend=backend,
-        tracer=tracer,
-        guard=guard,
-        keep_border=keep_border,
-    )
-
-
 def cap_mine(
     var: str,
     domain: Domain,

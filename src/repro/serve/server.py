@@ -9,9 +9,11 @@ within one session.  Layered (request → response):
    buckets (429), per-tenant :class:`~repro.runtime.guard.RunGuard`
    budgets, a bounded global queue with load shedding (503), and
    unknown-tenant rejection (403).
-2. **Warm fast path**: a query already in the memory result tier is
-   served directly (:meth:`QueryService.is_warm` → ``execute``) —
-   sub-millisecond, no flight/coalescer bookkeeping.
+2. **Document cache**: a complete answer already rendered for the same
+   :func:`~repro.serve.fingerprint.result_key` is sent again as it is —
+   no flight/coalescer bookkeeping, no engine.  It is the server's only
+   repeat path of its own; the service's result tier below it holds
+   cold runs only.
 3. **Single-flight** (:class:`~repro.serve.flight.SingleFlight`): N
    concurrent *identical* queries (same
    :func:`~repro.serve.fingerprint.result_key`) elect one leader; the
@@ -382,7 +384,7 @@ class QueryServer:
         )
 
     # ------------------------------------------------------------------
-    # Execution: fast path → single-flight → coalescer
+    # Execution: document cache → single-flight → coalescer
     # ------------------------------------------------------------------
     def _execute(self, request: _Request) -> Tuple[int, Dict[str, Any]]:
         db = request.db
@@ -406,12 +408,6 @@ class QueryServer:
                 },
                 "_answer_json": answer_json,
             }
-        if self.service.is_warm(db, request.cfq, **request.options):
-            result = self.service.execute(
-                db, request.cfq, backend=self.backend, **request.options
-            )
-            return self._respond(request, result, start, source="fast-path")
-
         flight, is_leader = self.flights.begin(request.key)
         if not is_leader:
             status, body = self.flights.wait(flight)
@@ -452,16 +448,12 @@ class QueryServer:
         members: List[_Request] = self.coalescer.close_after_window(group)
         try:
             if len(members) == 1:
-                single_start = time.perf_counter()
                 result = self.service.execute(
                     db,
                     request.cfq,
                     backend=self.backend,
                     guard=request.profile.guard(),
                     **request.options,
-                )
-                self._maybe_store(
-                    db, request, result, time.perf_counter() - single_start
                 )
                 self.coalescer.publish(group, results=[(result, 1)])
                 return self._respond(request, result, start, source="single")
@@ -478,8 +470,6 @@ class QueryServer:
             )
             width = len(members)
             self.service.telemetry.record_coalesce(dataset_fp, width)
-            for member, item in zip(members, report.items):
-                self._maybe_store(db, member, item.result, item.wall_seconds)
             results = [(item.result, width) for item in report.items]
             self.coalescer.publish(group, results=results)
             return self._respond(
@@ -489,25 +479,6 @@ class QueryServer:
         except BaseException as exc:
             self.coalescer.publish(group, error=exc)
             raise
-
-    def _maybe_store(
-        self, db, request: _Request, result: CFQResult, elapsed: float
-    ) -> None:
-        """Server-side caching policy: a *complete* skeleton-served
-        answer goes into the result cache too.  The library leaves
-        skeleton servings uncached (cheap to recompute within one
-        session); under multi-tenant load the same refinement queries
-        recur across tenants, and caching them turns every repeat into
-        a warm fast-path hit.  Answer-invariant: a stored skeleton
-        run's ANSWER_COUNTERS already equal the cold run's (the serving
-        differential contract), and only ``status == "complete"``
-        results are ever stored."""
-        if result.status != "complete":
-            return
-        info = result.cache_info or {}
-        if info.get("source") != "skeleton":
-            return
-        self.service.store(db, request.cfq, request.defaulted, result, elapsed)
 
     def _respond(
         self,

@@ -18,12 +18,18 @@ cheapest first:
    skeleton is mined per domain at the *weakest* threshold any query in
    the batch needs, then every query is served from it.
 3. **cold run** — the plain optimizer; complete results are stored back
-   into the result cache (partial, guard-tripped ones never are).
+   into the result cache (partial, guard-tripped ones never are, and
+   neither are skeleton-served ones: a stored artifact carries a cold
+   run's full counters).
 
 The service *is* the duck-typed ``cache=`` hook
 :meth:`repro.core.optimizer.CFQOptimizer.execute` accepts: it
 implements ``lookup``/``store`` directly, so single-query integration
-is ``optimizer.execute(db, cache=service)``.
+is ``optimizer.execute(db, cache=service)``.  The service walks the
+three tiers the same way: every query it answers, alone or in a batch,
+is one ``CFQOptimizer(cfq).execute(db, cache=self,
+support_oracle=oracle)`` call (:meth:`QueryService._serve`), and the
+optimizer's hook does the lookup, the hit and the store.
 
 Both caches are bounded LRUs with optional TTL and explicit
 invalidation (:mod:`repro.serve.cache`), metered on one shared
@@ -47,7 +53,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.optimizer import CFQOptimizer, CFQResult
 from repro.core.query import CFQ
@@ -510,19 +516,6 @@ class QueryService:
             return
         self.disk_breaker.record_success()
 
-    def is_warm(self, db: TransactionDatabase, cfq: CFQ, **options: Any) -> bool:
-        """Whether an identical query would be served from the *memory*
-        result tier right now — a side-effect-free peek (no stats, no
-        recency touch).  The query server's fast path uses this to skip
-        single-flight/coalescing for already-warm queries."""
-        if any(options.get(name) for name in _BYPASS_OPTIONS):
-            return False
-        cache_options = self._defaulted(
-            {name: options.get(name) for name in RESULT_OPTIONS}
-        )
-        key = result_key(cfq, db, cache_options)
-        return self._results.peek(key) is not None
-
     # ------------------------------------------------------------------
     # Single-query serving
     # ------------------------------------------------------------------
@@ -543,45 +536,44 @@ class QueryService:
         executor's trade).  Checkpointing/resume/keep-candidates
         requests bypass every tier, matching the optimizer's gate.
         """
-        tracer = resolve_tracer(tracer)
-        optimizer = CFQOptimizer(cfq)
-        if any(options.get(name) for name in _BYPASS_OPTIONS):
-            start = time.perf_counter()
-            result = optimizer.execute(
-                db, counters=counters, backend=backend, tracer=tracer,
-                guard=guard, cache=self, **options,
-            )
-            self._finish_serve(result, time.perf_counter() - start, db, cfq)
-            return result
-        cache_options = {name: options.get(name) for name in RESULT_OPTIONS}
+        bypass = any(options.get(name) for name in _BYPASS_OPTIONS)
+        oracle = None if bypass else self._existing_oracle(db, cfq)
+        result, _ = self._serve(
+            db, cfq, oracle, counters=counters, backend=backend,
+            tracer=tracer, guard=guard, **options,
+        )
+        return result
+
+    def _serve(
+        self,
+        db: TransactionDatabase,
+        cfq: CFQ,
+        oracle: Optional[SupportOracle],
+        batch: bool = False,
+        **options: Any,
+    ) -> Tuple[CFQResult, float]:
+        """The one serving ladder; returns ``(result, elapsed_seconds)``.
+
+        The optimizer's ``cache=`` hook looks the query up, serves a
+        hit, and stores a complete cold run; on a miss the run counts
+        against ``oracle`` when one is given (labeled ``skeleton``,
+        never stored), else against the database.  ``options`` are the
+        optimizer's own keywords.
+        """
         start = time.perf_counter()
-        oracle = self._existing_oracle(db, cfq)
-        if oracle is None:
-            result = optimizer.execute(
-                db, counters=counters, backend=backend, tracer=tracer,
-                guard=guard, cache=self, **options,
-            )
-        else:
-            hit = self.lookup(db, cfq, self._defaulted(cache_options))
-            if hit is not None:
-                tracer.event("cache.hit", query=str(cfq))
-                result = self._materialize_hit(db, cfq, hit, counters, tracer)
-            else:
-                result = optimizer.execute(
-                    db, counters=counters, backend=backend, tracer=tracer,
-                    guard=guard, support_oracle=oracle, **options,
-                )
-                result.cache_info = self._info(
-                    "skeleton",
-                    dataset_fingerprint(db),
-                    query_fingerprint(cfq, db),
-                )
+        result = CFQOptimizer(cfq).execute(
+            db, cache=self, support_oracle=oracle, **options
+        )
         elapsed = time.perf_counter() - start
+        if oracle is not None and result.cache_info is None:
+            result.cache_info = self._info(
+                "skeleton", dataset_fingerprint(db), query_fingerprint(cfq, db)
+            )
         info = result.cache_info
         if info is not None and info.get("source") in ("result-cache", "skeleton"):
             info["warm_wall_seconds"] = elapsed
-        self._finish_serve(result, elapsed, db, cfq)
-        return result
+        self._finish_serve(result, elapsed, db, cfq, batch=batch)
+        return result, elapsed
 
     # ------------------------------------------------------------------
     # Telemetry helpers
@@ -647,33 +639,6 @@ class QueryService:
             for name in RESULT_OPTIONS
         }
 
-    def _materialize_hit(
-        self,
-        db: TransactionDatabase,
-        cfq: CFQ,
-        hit: CacheHit,
-        counters: Optional[OpCounters],
-        tracer,
-    ) -> CFQResult:
-        """The optimizer's hit path, for servings the service routes
-        itself (when a skeleton oracle is also in play)."""
-        plan = CFQOptimizer(cfq).plan(db, tracer=tracer)
-        if counters is None:
-            counters = OpCounters()
-        counters.restore(hit.counters_snapshot)
-        raw = hit.raw
-        raw.counters = counters
-        return CFQResult(
-            cfq=cfq,
-            plan=plan,
-            counters=counters,
-            raw=raw,
-            backend=None,
-            trace=tracer if tracer.enabled else None,
-            status="complete",
-            cache_info=dict(hit.info),
-        )
-
     def _existing_oracle(
         self, db: TransactionDatabase, cfq: CFQ
     ) -> Optional[SupportOracle]:
@@ -714,9 +679,6 @@ class QueryService:
                 "execute_batch does not support checkpointing, resume, or "
                 "keep_candidates; run those queries individually"
             )
-        cache_options = self._defaulted(
-            {name: options.get(name) for name in RESULT_OPTIONS}
-        )
         dataset_fp = dataset_fingerprint(db)
         batch_start = time.perf_counter()
         skeletons, build_seconds, failed = self._prepare_skeletons(
@@ -724,53 +686,21 @@ class QueryService:
         )
         items: List[BatchItem] = []
         for cfq in cfqs:
-            start = time.perf_counter()
-            query_fp = query_fingerprint(cfq, db)
-            hit = self.lookup(db, cfq, cache_options)
-            if hit is not None:
-                tracer.event("cache.hit", query=str(cfq))
-                result = self._materialize_hit(db, cfq, hit, None, tracer)
-                source = "result-cache"
-            else:
-                per_var = {
-                    var: skeletons.get(domain_fingerprint(cfq.domains[var]))
-                    for var in cfq.variables
-                }
-                oracle = SupportOracle.for_query(cfq, db, per_var)
-                if oracle is not None:
-                    result = CFQOptimizer(cfq).execute(
-                        db, backend=backend, tracer=tracer, guard=guard,
-                        support_oracle=oracle, **options,
-                    )
-                    result.cache_info = self._info(
-                        "skeleton", dataset_fp, query_fp
-                    )
-                    source = "skeleton"
-                else:
-                    result = CFQOptimizer(cfq).execute(
-                        db, backend=backend, tracer=tracer, guard=guard,
-                        **options,
-                    )
-                    source = "cold"
-                    if result.status == "complete":
-                        result.cache_info = self.store(
-                            db, cfq, cache_options, result,
-                            time.perf_counter() - start,
-                        )
-            elapsed = time.perf_counter() - start
-            info = result.cache_info
-            if info is not None and info.get("source") in (
-                "result-cache", "skeleton"
-            ):
-                info["warm_wall_seconds"] = elapsed
-            self._finish_serve(result, elapsed, db, cfq, batch=True)
+            oracle = SupportOracle.for_query(cfq, db, {
+                var: skeletons.get(domain_fingerprint(cfq.domains[var]))
+                for var in cfq.variables
+            })
+            result, elapsed = self._serve(
+                db, cfq, oracle, backend=backend, tracer=tracer, guard=guard,
+                batch=True, **options,
+            )
             items.append(
                 BatchItem(
                     cfq=cfq,
                     result=result,
-                    source=source,
+                    source=(result.cache_info or {}).get("source", "cold"),
                     wall_seconds=elapsed,
-                    query_fingerprint=query_fp,
+                    query_fingerprint=query_fingerprint(cfq, db),
                 )
             )
         if self.telemetry.enabled:

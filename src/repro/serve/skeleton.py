@@ -41,7 +41,7 @@ from repro.core.query import CFQ
 from repro.db.stats import OpCounters
 from repro.db.transactions import TransactionDatabase
 from repro.errors import RunInterrupted
-from repro.mining.cap import mine_skeleton
+from repro.mining.cap import cap_mine
 from repro.serve.fingerprint import dataset_fingerprint, domain_fingerprint
 
 Itemset = Tuple[int, ...]
@@ -135,13 +135,15 @@ def build_skeleton(
     """Mine one (dataset, domain) skeleton at ``min_count``.
 
     Runs plain Apriori (an unconstrained :func:`~repro.mining.cap.cap_mine`)
-    over the domain-projected transactions.  A guard trip propagates as
+    over the domain-projected transactions, keeping the negative border
+    that churn maintenance (:mod:`repro.serve.delta`) refreshes by delta
+    arithmetic.  A guard trip propagates as
     :class:`~repro.errors.RunInterrupted` — the caller must *not* cache
     anything in that case.
     """
     counters = OpCounters()
     projected = [domain.project(t) for t in db.transactions]
-    result = mine_skeleton(
+    result = cap_mine(
         var=var,
         domain=domain,
         transactions=projected,
@@ -150,6 +152,7 @@ def build_skeleton(
         backend=backend,
         guard=guard,
         tracer=tracer,
+        keep_border=True,
     )
     supports: Dict[Itemset, int] = {}
     for sets in result.frequent.values():

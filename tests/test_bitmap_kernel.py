@@ -460,7 +460,7 @@ def test_matrix_cache_evicts_fifo_beyond_capacity():
     assert backend.count(db_a, [(1, 2)], 2) == {(1, 2): 3}
     assert backend.count(db_b, [(2, 3)], 2) == {(2, 3): 3}
     assert backend.count(db_a, [(1, 2)], 2) == {(1, 2): 3}
-    assert backend.builds == 3  # A, B, then A again after eviction
+    assert backend.stats.builds == 3  # A, B, then A again after eviction
     assert backend.stats.cache_hits == 0
 
 

@@ -84,14 +84,25 @@ def _answers(result):
     }
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_result_cache_hit_is_bit_identical_to_cold(name):
+@pytest.mark.parametrize(
+    "name, prepared",
+    [pytest.param(name, False, id=name) for name in sorted(WORKLOADS)]
+    + [
+        pytest.param(name, True, id=f"{name}-prepared")
+        for name in sorted(WORKLOADS)
+    ],
+)
+def test_result_cache_hit_is_bit_identical_to_cold(name, prepared):
     workload = WORKLOADS[name]()
     cfq = workload.cfq()
     baseline = CFQOptimizer(cfq).execute(workload.db)
 
     service = QueryService()
     cold = service.execute(workload.db, cfq)
+    if prepared:
+        # A servable skeleton must not shadow the stored cold artifact:
+        # the hit still wins over the skeleton tier.
+        service.prepare(workload.db, [cfq])
     warm = service.execute(workload.db, cfq)
 
     assert cold.cache_info["source"] == "cold"

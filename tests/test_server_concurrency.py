@@ -169,6 +169,26 @@ def test_post_flight_request_is_served_from_cache_not_a_new_flight(spy):
     assert second["serving"]["dedup"] is False
 
 
+def test_skeleton_served_answer_is_not_stored_as_a_result_artifact():
+    """A skeleton-served answer skipped the database passes, so it is not
+    stored as a result artifact (those carry a cold run's counters): the
+    repeat comes from the document cache, and the service keeps serving
+    the query from the skeleton."""
+    core = _server()
+    cfq = WORKLOAD.cfq(minsup=0.05)
+    core.service.prepare(WORKLOAD.db, [cfq])
+    status, first = core.handle_query(_request(cfq))
+    assert status == 200
+    assert first["serving"]["source"] == "skeleton"
+    assert core.service.stats.stores == 0
+    status, again = core.handle_query(_request(cfq))
+    assert status == 200
+    assert again["serving"]["source"] == "doc-cache"
+    assert again["answer"] == first["answer"]
+    served = core.service.execute(WORKLOAD.db, cfq)
+    assert served.cache_info["source"] == "skeleton"
+
+
 # ----------------------------------------------------------------------
 # Coalescing: shared-scan batches, bit-identical to cold runs
 # ----------------------------------------------------------------------
