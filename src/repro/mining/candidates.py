@@ -1,12 +1,14 @@
 """Candidate generation: the apriori-gen join + prune, bucket-aware.
 
-Generation works in *rank space*: itemsets are tuples sorted by a per-run
-rank.  For unconstrained mining the rank is the element id; for CAP's
+Generation works in *rank space*: a per-run rank orders the elements.
+For unconstrained mining the rank is the element id; for CAP's
 member-generating-function case (a required bucket), bucket elements get
 the lowest ranks, so any candidate containing a bucket element has one in
 front — which makes "the candidate hits the bucket" a structural property
 of the join rather than a constraint check (this is what lets CAP meet
-condition (2) of ccc-optimality for succinct constraints).
+condition (2) of ccc-optimality for succinct constraints).  Level 2 reads
+the rank order and emits canonical pairs directly; the join for k >= 3
+works on rank-sorted tuples.
 
 The prune step is *validity-aware*: under constraints, only subsets that
 would themselves have been valid candidates had their support counted, so
@@ -25,25 +27,20 @@ from repro.mining.itemsets import Itemset
 SubsetGate = Callable[[Itemset], bool]
 
 
-def generate_pairs(
-    level1: Sequence[int],
-    pair_admissible: Optional[Callable[[int, int], bool]] = None,
-) -> List[Itemset]:
-    """All 2-candidates from frequent 1-sets, in rank space.
+def generate_pairs(order: Sequence[int], rows: Optional[int] = None) -> List[Itemset]:
+    """All 2-candidates from frequent 1-sets, as canonical pairs.
 
-    ``level1`` must already be sorted by rank.  ``pair_admissible`` is the
-    structural admission test (e.g. "the lower-ranked element is in the
-    required bucket"); pairs failing it are never materialized.
+    ``order`` lists the elements by rank.  Row ``i`` pairs ``order[i]``
+    with every later element, so only the first ``rows`` rows are used
+    when the lower-ranked element must come from them (a required
+    bucket ranked first); pairs outside those rows are never
+    materialized.  Each pair is made canonical (id-sorted) once.
     """
-    pairs: List[Itemset] = []
-    n = len(level1)
-    for i in range(n):
-        a = level1[i]
-        for j in range(i + 1, n):
-            b = level1[j]
-            if pair_admissible is None or pair_admissible(a, b):
-                pairs.append((a, b))
-    return pairs
+    return [
+        (a, b) if a < b else (b, a)
+        for i, a in enumerate(order[:rows])
+        for b in order[i + 1:]
+    ]
 
 
 def join_and_prune(

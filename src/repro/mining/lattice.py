@@ -29,6 +29,14 @@ condition (2) of ccc-optimality (Definition 6) for succinct constraints.
 The ordering is frozen the first time level-2 candidates are requested;
 pruners installed later (the dynamic ``V^k`` bounds) may only be
 anti-monotone checks, which do not interact with the ordering.
+
+Level 2 is read off the rank order in slices: row ``i`` pairs the
+``i``-th ranked element with every later one, and with a bucket only the
+rows of bucket elements are used, so no pair outside it is ever built.
+Each pair is made canonical once, as it is built.  Levels 3 and up join
+rank-sorted tuples and make each survivor canonical once.  Either way
+the installed anti-monotone checks then run once per canonical
+candidate, one check at a time over the whole level.
 """
 
 from __future__ import annotations
@@ -192,9 +200,7 @@ class ConstrainedLattice:
         # tracing-off run pays only these increments (on pruned branches).
         self.prune_counts: Dict[int, Dict[str, int]] = {}
 
-        self._universe: Tuple[int, ...] = self.pruning.filtered_universe(self.elements)
-        if len(self._universe) < len(self.elements):
-            self._attribute_filtered(self.elements, self.pruning.filters, level=1)
+        self._universe = self._admit(self.elements, self.pruning.filters)
         self._record_level1_checks(len(self.elements))
         self._frozen = False
         self._rank: Dict[int, int] = {}
@@ -338,13 +344,10 @@ class ConstrainedLattice:
             )
         self.pruning.extend(extra)
         if extra.filters:
-            before = self._universe
-            self._universe = self.pruning.filtered_universe(self._universe)
-            if len(self._universe) < len(before):
-                # Attribute the newly excluded elements (e.g. reduced
-                # quasi-succinct constraints arriving after level 1) to
-                # the filters just installed.
-                self._attribute_filtered(before, extra.filters, level=1)
+            # The universe already passed the earlier filters: only the
+            # new ones (e.g. reduced quasi-succinct constraints arriving
+            # after level 1) are tested, and own what they exclude.
+            self._universe = self._admit(self._universe, extra.filters)
             if self.level >= 1:
                 keep = set(self._universe)
                 self.level1_supports = {
@@ -413,14 +416,21 @@ class ConstrainedLattice:
         counts = self.prune_counts.setdefault(level, {})
         counts[reason] = counts.get(reason, 0) + n
 
-    def _attribute_filtered(self, elements, filters, level: int) -> None:
-        """Attribute each filter-rejected element to the first rejecting
-        item filter (runs once per filter installation, not per level)."""
+    def _admit(self, elements, filters) -> Tuple[int, ...]:
+        """The elements every filter in ``filters`` admits.  Each rejected
+        element is attributed to the first filter rejecting it (one walk
+        per filter installation, not per level)."""
+        if not filters:
+            return tuple(elements)
+        admitted: List[int] = []
         for element in elements:
             for item_filter in filters:
                 if not item_filter.admits(element):
-                    self._note_pruned(level, f"filter:{item_filter.source}")
+                    self._note_pruned(1, f"filter:{item_filter.source}")
                     break
+            else:
+                admitted.append(element)
+        return tuple(admitted)
 
     def _record_level1_checks(self, n_elements: int) -> None:
         # Constructing the filtered universe evaluates each element against
@@ -473,49 +483,61 @@ class ConstrainedLattice:
         return tuple(sorted(self._rank[e] for e in itemset))
 
     def _to_canonical(self, ranked: RankTuple) -> Itemset:
-        return canonical(self._order[r] for r in ranked)
+        order = self._order
+        return canonical([order[r] for r in ranked])
 
     def _ranked_hits_buckets(self, ranked: RankTuple) -> bool:
         return not (self._has_buckets and ranked[0] >= self._primary_bucket_size)
 
-    def _passes_am_checks(self, ranked: RankTuple) -> bool:
+    def _am_filter(self, k: int, candidates: List[Itemset]) -> List[Itemset]:
+        """The canonical ``candidates`` passing every anti-monotone check.
+
+        Each candidate costs ``len(checks)`` larger-set constraint checks,
+        and each rejected one is attributed to the first check it fails.
+        The checks run one at a time over the level; their ``am:`` keys
+        are noted in the order their first rejection comes in candidate
+        order, as a per-candidate loop would note them.
+        """
         checks = self.pruning.am_checks
-        if not checks:
-            return True
-        elements = self._to_canonical(ranked)
-        self.counters.record_check(len(elements), len(checks))
+        if not checks or not candidates:
+            return candidates
+        self.counters.record_check(k, len(checks) * len(candidates))
+        positions = list(range(len(candidates)))
+        rejections = []
         for check in checks:
-            if not check.holds(elements):
-                self._note_pruned(self.level + 1, f"am:{check.source}")
-                return False
-        return True
+            holds = check.holds
+            kept = [p for p in positions if holds(candidates[p])]
+            if len(kept) < len(positions):
+                first = next(
+                    (p for p, q in zip(positions, kept) if p != q),
+                    positions[len(kept)],
+                )
+                rejections.append((first, check.source, len(positions) - len(kept)))
+            positions = kept
+            if not positions:
+                break
+        for __, source, n in sorted(rejections):
+            self._note_pruned(k, f"am:{source}", n)
+        return [candidates[p] for p in positions]
 
     def _level2_candidates(self) -> List[Itemset]:
         self._freeze_order()
         if self._has_buckets and self._primary_bucket_size == 0:
             return []
-        level1_ranks = list(range(len(self._order)))
-        limit = self._primary_bucket_size if self._has_buckets else 0
-
-        def admissible(a: int, b: int) -> bool:
-            if limit and a >= limit:
-                return False
-            return self._passes_am_checks((a, b))
-
-        pairs = generate_pairs(level1_ranks, admissible)
+        rows = self._primary_bucket_size if self._has_buckets else None
+        pairs = self._am_filter(2, generate_pairs(self._order, rows))
         # Bucket-pruned pairs need no per-pair bookkeeping: ranks are
         # sorted, so a pair misses the structural bucket iff its lower
         # rank does, i.e. both elements lie outside it — C(outside, 2).
-        outside = len(level1_ranks) - limit
-        if limit and outside >= 2:
+        outside = len(self._order) - (rows or 0)
+        if rows and outside >= 2:
             self._note_pruned(
                 2,
                 f"bucket:{self._primary_bucket_source}",
                 outside * (outside - 1) // 2,
             )
-        return [self._to_canonical(p) for p in pairs]
+        return pairs
 
     def _deeper_candidates(self, k: int) -> List[Itemset]:
         ranked = join_and_prune(self._prev_ranked, k, self._ranked_hits_buckets)
-        survivors = [rt for rt in ranked if self._passes_am_checks(rt)]
-        return [self._to_canonical(rt) for rt in survivors]
+        return self._am_filter(k, [self._to_canonical(rt) for rt in ranked])

@@ -130,23 +130,20 @@ class _Request:
     """One admitted query, parsed and fingerprinted."""
 
     __slots__ = (
-        "db", "cfq", "options", "defaulted", "tenant", "profile", "key",
-        "query_fp",
+        "db", "cfq", "defaulted", "tenant", "profile", "key", "query_fp",
     )
 
-    def __init__(
-        self, db, cfq, options, defaulted, tenant, profile, key, query_fp
-    ):
+    def __init__(self, db, cfq, defaulted, tenant, profile, key, query_fp):
         #: The dataset version the request was admitted against: its key
         #: and fingerprints are computed on it, and it is what executes.
         self.db = db
         self.cfq = cfq
-        self.options = options
-        #: Options with optimizer defaults filled in — the coalescing
-        #: group key includes these: ``execute_batch`` runs one shared
-        #: options dict, so only requests agreeing on every engine
-        #: option may share a batch (counters are answer-bearing and
-        #: option-dependent).
+        #: Options with optimizer defaults filled in (``null`` means the
+        #: default).  The request runs with exactly these, and its result
+        #: key and coalescing group key include them: ``execute_batch``
+        #: runs one shared options dict, so only requests agreeing on
+        #: every engine option may share a batch (counters are
+        #: answer-bearing and option-dependent).
         self.defaulted = defaulted
         self.tenant = tenant
         self.profile = profile
@@ -364,6 +361,22 @@ class QueryServer:
                 f"(allowed: {list(RESULT_OPTIONS)})",
                 tenant=tenant,
             )
+        for name, value in options.items():
+            if value is None:
+                continue
+            if name == "reduction_rounds":
+                ok = (isinstance(value, int) and not isinstance(value, bool)
+                      and value >= 1)
+                expected = "an integer >= 1"
+            else:
+                ok = isinstance(value, bool)
+                expected = "true or false"
+            if not ok:
+                return 400, error_body(
+                    400, "bad_request",
+                    f"option {name!r} must be {expected} or null, got {value!r}",
+                    tenant=tenant,
+                )
         db = self.db
         try:
             cfq = parse_cfq(text, self.domains, default_minsup=float(minsup))
@@ -375,7 +388,6 @@ class QueryServer:
         return _Request(
             db=db,
             cfq=cfq,
-            options=dict(options),
             defaulted=defaulted,
             tenant=tenant,
             profile=profile,
@@ -453,7 +465,7 @@ class QueryServer:
                     request.cfq,
                     backend=self.backend,
                     guard=request.profile.guard(),
-                    **request.options,
+                    **request.defaulted,
                 )
                 self.coalescer.publish(group, results=[(result, 1)])
                 return self._respond(request, result, start, source="single")
@@ -466,7 +478,7 @@ class QueryServer:
                 [member.cfq for member in members],
                 backend=self.backend,
                 guard=request.profile.guard(),
-                **request.options,
+                **request.defaulted,
             )
             width = len(members)
             self.service.telemetry.record_coalesce(dataset_fp, width)

@@ -14,8 +14,9 @@ def test_generate_pairs_all():
 
 
 def test_generate_pairs_admission():
-    # Only pairs whose lower-ranked element is < 2 (a bucket of ranks {0,1}).
-    pairs = generate_pairs([0, 1, 2, 3], lambda a, b: a < 2)
+    # Only the rows of the first two ranked elements (a bucket ranked
+    # first): every pair's lower-ranked element is one of them.
+    pairs = generate_pairs([0, 1, 2, 3], rows=2)
     assert (2, 3) not in pairs
     assert (0, 3) in pairs and (1, 2) in pairs
 

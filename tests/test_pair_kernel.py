@@ -1,13 +1,15 @@
-"""Compiled pair formation ≡ evaluating every constraint per pair.
+"""The row kernel ≡ evaluating every constraint per pair.
 
-``form_valid_pairs`` and ``valid_sets_existential`` compile each 2-var
-constraint into its two side functions and memoize each side's value
-per set.  The reference here is the definition they replace: every
+``form_valid_pairs`` and ``valid_sets_existential`` evaluate each 2-var
+constraint's sides once per set and form each outer set's row of
+partners one constraint at a time, sharing rows between outer sets with
+equal (and equally typed) side values; the 1-var filters run the same
+way.  The reference here is the definition they replace: every
 constraint evaluated from scratch with ``evaluate_constraint`` for every
 (set, partner) the loop reaches.  Both must agree on the pairs and their
 order, ``pair_checks``, ``limit`` truncation, the existential survivors,
-and — when an evaluation raises — on the exception and the check count
-at which it is raised.
+and — when an evaluation or a comparison raises — on the exception and
+the check count at which it is raised.
 """
 
 import itertools
@@ -30,6 +32,7 @@ from repro.constraints.ast import (
     is_twovar,
 )
 from repro.constraints.evaluate import evaluate_constraint
+import repro.core.pairs as pairs_module
 from repro.core.pairs import form_valid_pairs, valid_sets_existential
 from repro.db.catalog import ItemCatalog
 from repro.db.domain import Domain, derived_type_domain
@@ -38,6 +41,10 @@ from repro.errors import ConstraintTypeError
 
 ITEMS = tuple(range(1, 9))
 TYPES = ("snack", "beer", "snack", "wine", "beer", "snack", "wine", "beer")
+# Values a shared row must tell apart or may merge: equal across types
+# (comparisons against strings raise naming the type), never equal to
+# itself, and equal with a different sign.
+EDGE_VALUES = (1, 1.0, True, float("nan"), -0.0, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -298,14 +305,133 @@ def test_non_numeric_sum_never_reached_never_raises(item_domains):
     assert_same_survivors(s_sets, t_sets, constraints, item_domains)
 
 
+def test_a_later_constraint_raising_at_an_earlier_partner_wins(item_domains):
+    """The first constraint holds for the empty partner and raises at the
+    next; the second raises on the empty partner, which the per-pair
+    loop reaches first."""
+    constraints = [
+        Comparison(Agg("sum", AttrRef("S", "Price")), CmpOp.GE,
+                   Agg("sum", AttrRef("T", "Type"))),
+        Comparison(Agg("sum", AttrRef("S", "Type")), CmpOp.EQ,
+                   Agg("count", AttrRef("T", "Price"))),
+    ]
+    s_sets = {(1,): 4, (2, 3): 2}
+    t_sets = {(): 9, (2,): 4, (4,): 3}
+    result = assert_same_pairs(s_sets, t_sets, constraints, item_domains)
+    assert result[:2] == ("raised", ConstraintTypeError)
+    assert "sum(S.Type)" in result[2] and result[3] == 2
+    assert_same_survivors(s_sets, t_sets, constraints, item_domains)
+
+
+# ----------------------------------------------------------------------
+# Shared rows: repeated, typed-equal, nan and signed-zero side values
+# ----------------------------------------------------------------------
+@pytest.fixture
+def edge_domains():
+    catalog = make_catalog(
+        [1, 1.0, True, float("nan"), -0.0, 0.0, 1, 2],
+        [0.0, -0.0, 1, 1.0, True, float("nan"), 2, 2],
+    )
+    item = Domain.items(catalog)
+    return {"S": item, "T": item}
+
+
+EDGE_CONJUNCTIONS = {
+    "max_le_min": [Comparison(Agg("max", AttrRef("S", "Price")), CmpOp.LE,
+                              Agg("min", AttrRef("T", "Weight")))],
+    "eq_then_ne": [
+        Comparison(Agg("max", AttrRef("S", "Price")), CmpOp.EQ,
+                   Agg("max", AttrRef("T", "Weight"))),
+        Comparison(Agg("min", AttrRef("T", "Price")), CmpOp.NE,
+                   Agg("sum", AttrRef("S", "Weight"))),
+    ],
+    "sum_ge_avg": [Comparison(Agg("sum", AttrRef("S", "Price")), CmpOp.GE,
+                              Agg("avg", AttrRef("T", "Weight")))],
+    # Numbers against type strings: the comparison raises, naming the
+    # outer value's type (int, float or bool) — only where reached.
+    "lt_then_raising": [
+        Comparison(Agg("max", AttrRef("S", "Price")), CmpOp.LT,
+                   Agg("min", AttrRef("T", "Price"))),
+        Comparison(Agg("min", AttrRef("S", "Price")), CmpOp.LE,
+                   Agg("max", AttrRef("T", "Type"))),
+    ],
+    "set_projection": [SetComparison(AttrRef("S", "Price"), SetOp.SUBSET,
+                                     AttrRef("T", "Weight"))],
+}
+
+
+def test_equal_typed_side_values_share_one_row(monkeypatch, edge_domains):
+    """Outer sets share a row exactly when their side values are equal
+    and of one type: 1, 1.0 and True are three rows, nan (unequal to
+    itself unless it is the same object) and the signed zeros follow
+    ``==`` on the same type."""
+    rows = []
+    real_row = pairs_module._row
+
+    def counting_row(positions, stages):
+        row = real_row(positions, stages)
+        rows.append(row)
+        return row
+
+    monkeypatch.setattr(pairs_module, "_row", counting_row)
+    constraint = Comparison(Agg("max", AttrRef("S", "Price")), CmpOp.LE,
+                            Agg("min", AttrRef("T", "Weight")))
+    # Prices 1, 1.0, True, nan, -0.0, 0.0, 1, 2 (items 1-8).
+    s_sets = {(1,): 3, (7,): 3, (2,): 3, (3,): 3, (4,): 3, (5,): 3, (6,): 3, (8,): 3}
+    t_sets = all_sets(ITEMS)
+    pairs = form_valid_pairs(s_sets, t_sets, [constraint], edge_domains)
+    # int 1 (items 1 and 7), 1.0, True, nan, -0.0 and 0.0 (equal floats), 2.
+    assert len(rows) == 6
+    expected = reference_pairs(s_sets, t_sets, [constraint], edge_domains, OpCounters())
+    assert pairs == expected
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CONJUNCTIONS))
+def test_shared_rows_match_reference(edge_domains, name):
+    constraints = EDGE_CONJUNCTIONS[name]
+    sets = all_sets(ITEMS)
+    sets[()] = 9
+    full = assert_same_pairs(sets, sets, constraints, edge_domains)
+    assert_same_survivors(sets, sets, constraints, edge_domains)
+    n = len(full[1]) if full[0] == "ok" else 40
+    for limit in range(1, n + 2):  # every cut, most inside a shared row
+        assert_same_pairs(sets, sets, constraints, edge_domains, limit=limit)
+
+
+def test_raise_inside_a_shared_row(item_domains):
+    """Each row keeps the empty partner, then reaches a ``sum`` over type
+    strings.  The existential stops at the kept partner, in every outer
+    set sharing the row; pair formation raises unless a limit cuts first."""
+    constraint = Comparison(Agg("sum", AttrRef("S", "Price")), CmpOp.GE,
+                            Agg("sum", AttrRef("T", "Type")))
+    s_sets = {(1,): 4, (8,): 4, (1, 8): 3, (2,): 4, (3,): 4}  # 10, 15, 25, 20, 20
+    t_sets = {(): 9, (2,): 4, (3, 4): 2}
+    result = assert_same_pairs(s_sets, t_sets, [constraint], item_domains)
+    assert result == ("raised", ConstraintTypeError, result[2], 2)
+    assert assert_same_pairs(s_sets, t_sets, [constraint], item_domains,
+                             limit=1) == ("ok", [((1,), ())], 1)
+    assert_same_survivors(s_sets, t_sets, [constraint], item_domains)
+    counters = OpCounters()
+    survivors = valid_sets_existential(
+        s_sets, t_sets, [constraint], "S", "T", item_domains, counters=counters
+    )
+    assert list(survivors) == list(s_sets) and counters.pair_checks == 5
+
+
 # ----------------------------------------------------------------------
 # Randomized conjunctions
 # ----------------------------------------------------------------------
 @st.composite
 def scenario(draw):
-    prices = draw(st.lists(st.integers(-3, 9), min_size=8, max_size=8))
+    prices = draw(st.lists(
+        st.one_of(st.integers(-3, 9), st.sampled_from(EDGE_VALUES)),
+        min_size=8, max_size=8,
+    ))
     weights = draw(st.lists(
-        st.floats(0, 4, allow_nan=False).map(lambda w: round(w, 1)),
+        st.one_of(
+            st.floats(0, 4, allow_nan=False).map(lambda w: round(w, 1)),
+            st.sampled_from(EDGE_VALUES),
+        ),
         min_size=8, max_size=8,
     ))
     catalog = make_catalog(prices, weights)
@@ -314,10 +440,12 @@ def scenario(draw):
     domains = {"S": item, "T": derived_type_domain(catalog) if derived else item}
 
     def sets_of(domain):
+        # Up to 12 sets over 8 elements: outer sets repeating a side
+        # value (and so sharing a row) are common.
         itemsets = draw(st.lists(
             st.lists(st.sampled_from(domain.elements), max_size=3, unique=True)
             .map(lambda xs: tuple(sorted(xs))),
-            max_size=7, unique=True,
+            max_size=12, unique=True,
         ))
         return {itemset: len(itemset) + 1 for itemset in itemsets}
 
@@ -368,7 +496,7 @@ def scenario(draw):
     constraints = [twovar() for __ in range(draw(st.integers(1, 3)))]
     constraints += [onevar() for __ in range(draw(st.integers(0, 2)))]
     constraints = draw(st.permutations(constraints))
-    limit = draw(st.one_of(st.none(), st.integers(1, 6)))
+    limit = draw(st.one_of(st.none(), st.integers(1, 12)))
     return sets_of(domains["S"]), sets_of(domains["T"]), constraints, domains, limit
 
 

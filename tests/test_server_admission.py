@@ -10,6 +10,8 @@ import threading
 
 import pytest
 
+from repro.core.cfq_parser import parse_cfq
+from repro.core.optimizer import CFQOptimizer
 from repro.errors import ExecutionError
 from repro.datagen.workloads import quickstart_workload
 from repro.runtime.faults import FaultPlan
@@ -20,6 +22,7 @@ from repro.serve import (
     TenantProfile,
     TenantRegistry,
     TokenBucket,
+    answer_document,
     error_body,
     validate_error_body,
 )
@@ -316,6 +319,16 @@ def test_full_queue_sheds_with_503_before_any_parse_work():
     ({"query": "{(S) | freq(S)}", "tenant": "t",
       "options": {"bogus": True}}, "bogus"),
     ({"query": "SELECT *", "tenant": "t"}, ""),
+    ({"query": "{(S) | freq(S)}", "tenant": "t",
+      "options": {"dovetail": "no"}}, "'dovetail' must be true or false"),
+    ({"query": "{(S) | freq(S)}", "tenant": "t",
+      "options": {"use_jmax": 1}}, "'use_jmax' must be true or false"),
+    ({"query": "{(S) | freq(S)}", "tenant": "t",
+      "options": {"reduction_rounds": True}}, "'reduction_rounds' must be"),
+    ({"query": "{(S) | freq(S)}", "tenant": "t",
+      "options": {"reduction_rounds": 0}}, "'reduction_rounds' must be"),
+    ({"query": "{(S) | freq(S)}", "tenant": "t",
+      "options": {"reduction_rounds": 2.0}}, "'reduction_rounds' must be"),
 ])
 def test_malformed_requests_get_schemad_400s(payload, fragment):
     core = _core()
@@ -323,6 +336,30 @@ def test_malformed_requests_get_schemad_400s(payload, fragment):
     assert status == 400
     validate_error_body(json.loads(json.dumps(body)))
     assert fragment in body["message"]
+
+
+def test_null_option_runs_the_default_its_key_names():
+    """``null`` is keyed as the option's default, so it must also run as
+    the default: the document it stores is what a plain request for the
+    same key is served, and that must be a cold default run's answer."""
+    workload = quickstart_workload(n_transactions=300, seed=7)
+    core = QueryServer(
+        QueryService(), workload.db, workload.domains, window_seconds=0.0
+    )
+    text = "{(S, T) | sum(S.Price) <= sum(T.Price)}"
+    request = {"query": text, "minsup": 0.05, "tenant": "t"}
+    status, first = core.handle_query(
+        dict(request, options={"dovetail": None, "reduction_rounds": None})
+    )
+    assert status == 200
+    status, again = core.handle_query(request)
+    assert status == 200
+    assert again["serving"]["source"] == "doc-cache"
+    cfq = parse_cfq(text, workload.domains, default_minsup=0.05)
+    cold = answer_document(CFQOptimizer(cfq).execute(workload.db))
+    cold = json.loads(json.dumps(cold))
+    assert first["answer"] == cold
+    assert again["answer"] == cold
 
 
 def test_queue_depth_gauge_tracks_admissions():
