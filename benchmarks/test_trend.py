@@ -2,8 +2,8 @@
 
 This benchmark measures the repo's headline serving and kernel figures
 — warm-hit latency quantiles (from the serving telemetry histograms,
-not a side stopwatch), replay throughput, the bitmap counting-kernel
-speedup, and the churn-refresh speedup — and commits them as a
+not a side stopwatch), replay throughput, and the bitmap counting-kernel
+speedup — and commits them as a
 ``BENCH_10.json`` trend record at the repo root
 (:mod:`repro.bench.trend`).  PR 10 adds the multi-tenant query
 server's load figure: a 10k-query, 8-client-thread HTTP replay of
@@ -19,7 +19,6 @@ line) have no prior — they pass through and become the baseline the
 *next* benchmark PR is judged against.
 """
 
-import random
 import statistics
 import time
 from itertools import combinations
@@ -28,13 +27,7 @@ from pathlib import Path
 from repro.bench.trend import TrendRecord, gate
 from repro.datagen.workloads import fig8a_workload, quickstart_workload
 from repro.mining.backends import BitmapBackend, HybridBackend
-from repro.serve import (
-    QueryServer,
-    QueryService,
-    build_skeleton,
-    refresh_skeleton,
-    start_server,
-)
+from repro.serve import QueryServer, QueryService, start_server
 from repro.serve.replay import replay, session_requests, summarize
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -45,9 +38,6 @@ REPLAY_QUERIES = 10_000
 REPLAY_TRANSACTIONS = 600
 KERNEL_TRANSACTIONS = 6_000
 KERNEL_REPS = 3
-CHURN_TRANSACTIONS = 3_000
-CHURN = 100
-CHURN_REPEATS = 3
 SERVER_QUERIES = 10_000
 SERVER_THREADS = 8
 
@@ -109,47 +99,6 @@ def _bitmap_count_speedup():
     return medians["hybrid"] / medians["bitmap"]
 
 
-def _churn_refresh_speedup():
-    """Two-delta skeleton refresh vs cold re-mine (the ``test_churn``
-    acceptance measurement, shared scale)."""
-    workload = quickstart_workload(n_transactions=CHURN_TRANSACTIONS)
-    db = workload.db
-    domain = workload.domains["S"]
-    skeleton = build_skeleton(db, domain, db.min_count(0.02))
-
-    rng = random.Random(42)
-    universe = sorted(db.item_universe())
-    lengths = [len(t) for t in db.transactions if t]
-    appended = [
-        tuple(sorted(rng.sample(universe,
-                                min(rng.choice(lengths), len(universe)))))
-        for _ in range(CHURN // 2)
-    ]
-    db2, delta_a = db.append(appended)
-    db3, delta_b = db2.delete(rng.sample(range(len(db2)), CHURN // 2))
-
-    def refresh():
-        mid, __ = refresh_skeleton(skeleton, db2, delta_a)
-        final, __ = refresh_skeleton(mid, db3, delta_b)
-        return final
-
-    refreshed = refresh()
-
-    def min_wall(fn):
-        best = float("inf")
-        for __ in range(CHURN_REPEATS):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    refresh_wall = min_wall(refresh)
-    cold_wall = min_wall(
-        lambda: build_skeleton(db3, domain, refreshed.min_count)
-    )
-    return cold_wall / refresh_wall
-
-
 def _server_replay_metrics():
     """End-to-end load figure for the multi-tenant query server: 10k
     requests over 8 persistent client connections, interleaved tenant
@@ -193,8 +142,6 @@ def test_trend_record_and_gate():
     # shows up as the ratio collapsing toward 1, far past this).
     record.add("bitmap_count_speedup", _bitmap_count_speedup(),
                direction="higher", noise=0.5)
-    record.add("churn_refresh_speedup", _churn_refresh_speedup(),
-               direction="higher")
 
     server = _server_replay_metrics()
     record.meta["server_queries"] = SERVER_QUERIES

@@ -170,12 +170,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="after the batch, mutate the dataset and re-run "
                        "it: 'append:N' adds N generated transactions, "
                        "'delete:N' removes N random ones; repeatable — each "
-                       "flag is one churn step, served through incremental "
-                       "skeleton maintenance (delta recount, not a re-mine)")
+                       "flag is one churn step; each cached skeleton is "
+                       "rebuilt on the new version's index at the rescaled "
+                       "threshold")
     batch.add_argument("--verify-cold", action="store_true",
                        help="after every churn step, re-run each query cold "
                        "on the mutated dataset and fail (exit 2) unless the "
-                       "incrementally served answers are identical")
+                       "served answers are identical")
     batch.add_argument("--report-out", metavar="PATH", default=None,
                        help="write a versioned JSON run report for the first "
                        "query's final answer, including the churn "
@@ -560,12 +561,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 db, delta = db.delete(tids)
             maintenance = service.apply_delta(db, delta, guard=guard)
             delta_reports.append(maintenance)
-            probed = sum(r.probed for r in maintenance.refreshes)
+            counted = sum(r.probed for r in maintenance.refreshes)
             print(f"churn[{step}] {op}:{n} -> {len(db)} transactions "
                   f"({delta.churn_fraction:.1%} churn); "
                   f"{maintenance.skeletons_refreshed} skeleton(s) refreshed, "
                   f"{maintenance.skeletons_dropped} dropped, "
-                  f"{probed} candidate(s) probed, "
+                  f"{counted} candidate(s) counted, "
                   f"{maintenance.results_invalidated} result(s) invalidated "
                   f"in {maintenance.wall_seconds:.4f}s")
             report = service.execute_batch(

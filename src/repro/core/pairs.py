@@ -84,15 +84,14 @@ def form_valid_pairs(
 
     1-var constraints are applied to each side once (not per pair);
     2-var constraints are then checked on the surviving cross product.
-    ``limit`` truncates the output (useful for exploration).
+    ``limit`` truncates the output (useful for exploration); a limit
+    below 1 returns no pairs and checks nothing.
     """
+    if limit is not None and limit < 1:
+        return []
     onevar, twovar = split_constraints(constraints)
     s_survivors = _filter_onevar(s_sets, onevar.get(s_var, []), s_var, domains, counters)
     t_survivors = _filter_onevar(t_sets, onevar.get(t_var, []), t_var, domains, counters)
-    if limit is not None:
-        # The limit is tested after a pair is added, so even a limit
-        # below 1 yields the first pair.
-        limit = max(limit, 1)
     partners = list(t_survivors)
     pairs: List[Tuple[Itemset, Itemset]] = []
     for s0, row in _rows(s_survivors, partners, twovar, s_var, t_var, domains):

@@ -5,16 +5,15 @@ order-sensitive digest (:mod:`repro.db.digest`).  Churn therefore never
 mutates a :class:`~repro.db.transactions.TransactionDatabase` in place —
 ``db.append(...)`` / ``db.delete(...)`` return a **new** database plus a
 :class:`DatasetDelta` describing exactly which transactions entered and
-left.  The delta is what makes incremental maintenance sound: a consumer
-holding state derived from ``base_digest`` can check the delta really
-starts from its version, adjust supports by counting only the
-added/removed transactions, and re-key itself under ``new_digest``
+left.  A consumer holding state derived from ``base_digest`` can check
+that the delta really starts from its version before it rebuilds that
+state over the new database and re-keys it under ``new_digest``
 (:mod:`repro.serve.delta`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
 Transaction = Tuple[int, ...]
@@ -40,8 +39,7 @@ class DatasetDelta:
     removed / removed_tids:
         Transactions deleted, and the TIDs they occupied in the *base*
         database.  TIDs after a deletion shift down, which is why the
-        delta carries the transactions themselves — support arithmetic
-        never needs positional identity.
+        delta carries the transactions themselves.
     """
 
     base_digest: str
@@ -52,10 +50,6 @@ class DatasetDelta:
     added_tids: Tuple[int, ...] = ()
     removed: Tuple[Transaction, ...] = ()
     removed_tids: Tuple[int, ...] = ()
-    #: Union of item ids occurring in any added or removed transaction —
-    #: an itemset disjoint from a delta transaction cannot change count
-    #: on it, so only candidates drawing from this set need recounting.
-    touched_items: frozenset = field(default_factory=frozenset)
 
     @property
     def churn_fraction(self) -> float:
@@ -81,7 +75,6 @@ class DatasetDelta:
             "new_size": self.new_size,
             "added": len(self.added),
             "removed": len(self.removed),
-            "touched_items": len(self.touched_items),
             "churn_fraction": round(self.churn_fraction, 6),
         }
 
@@ -97,9 +90,6 @@ def make_delta(
     """Assemble a :class:`DatasetDelta` from resolved TID positions."""
     added = tuple(new_transactions[tid] for tid in added_tids)
     removed = tuple(base_transactions[tid] for tid in removed_tids)
-    touched = frozenset(
-        item for t in added for item in t
-    ) | frozenset(item for t in removed for item in t)
     return DatasetDelta(
         base_digest=base_digest,
         new_digest=new_digest,
@@ -109,5 +99,4 @@ def make_delta(
         added_tids=added_tids,
         removed=removed,
         removed_tids=removed_tids,
-        touched_items=touched,
     )

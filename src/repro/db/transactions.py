@@ -182,9 +182,10 @@ class TransactionDatabase:
 
         The receiver is untouched (databases are immutable content); the
         new database carries ``version + 1`` and the delta records the
-        appended transactions, their TIDs in the new database, and the
-        touched item set — everything incremental skeleton maintenance
-        (:mod:`repro.serve.delta`) needs.
+        appended transactions and their TIDs in the new database.  Skeleton
+        maintenance (:mod:`repro.serve.delta`) checks the delta's base
+        digest, then rebuilds each skeleton on the new version's index at
+        the rescaled threshold.
         """
         added = tuple(tuple(sorted(set(t))) for t in transactions)
         combined = self._transactions + added

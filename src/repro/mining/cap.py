@@ -57,7 +57,6 @@ def cap_mine(
     backend=None,
     tracer=None,
     guard=None,
-    keep_border: bool = False,
 ) -> LatticeResult:
     """Run CAP for one variable.
 
@@ -68,7 +67,9 @@ def cap_mine(
     domain:
         The variable's domain (supplies elements and attribute values).
     transactions:
-        Transactions projected onto the domain.
+        What the lattice counts against: transactions projected onto the
+        domain, or the domain's view of the database's bitmap index
+        (:func:`~repro.mining.lattice.counting_source`).
     min_count:
         Absolute support threshold.
     constraints:
@@ -96,7 +97,6 @@ def cap_mine(
         pruning=pruning,
         counters=counters,
         max_level=max_level,
-        keep_border=keep_border,
         backend=backend,
         guard=guard,
     )

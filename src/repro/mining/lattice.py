@@ -81,13 +81,6 @@ class LatticeResult:
         (counted but below threshold) and ``"final_verification"``
         (dropped by the post-filter re-check in :meth:`result`).  This
         is the raw material of the run report's pruning table.
-    border:
-        Per-level *negative border*: candidates whose support was counted
-        but fell below ``min_count`` (only retained when the lattice was
-        built with ``keep_border=True``).  Together with ``frequent`` it
-        gives the exact support of **every** generated candidate, which
-        is what makes incremental maintenance under dataset churn
-        (:mod:`repro.serve.delta`) pure arithmetic for known sets.
     """
 
     var: str
@@ -95,7 +88,6 @@ class LatticeResult:
     level1_supports: Dict[int, int]
     counted_per_level: Dict[int, int]
     prune_counts: Dict[int, Dict[str, int]] = field(default_factory=dict)
-    border: Dict[int, Dict[Itemset, int]] = field(default_factory=dict)
 
     def all_sets(self) -> Dict[Itemset, int]:
         """All frequent valid itemsets across levels."""
@@ -165,7 +157,6 @@ class ConstrainedLattice:
         counters: Optional[OpCounters] = None,
         max_level: Optional[int] = None,
         keep_candidates: bool = False,
-        keep_border: bool = False,
         backend=None,
         guard=None,
     ):
@@ -191,8 +182,6 @@ class ConstrainedLattice:
         self.counted_per_level: Dict[int, int] = {}
         self.keep_candidates = keep_candidates
         self.candidate_log: Dict[int, List[Itemset]] = {}
-        self.keep_border = keep_border
-        self.border: Dict[int, Dict[Itemset, int]] = {}
         self.backend = make_backend(backend if backend is not None else "hybrid")
         # Pruning attribution (level -> reason -> count): plain integer
         # bookkeeping, always on — the observability layer's trace spans
@@ -270,11 +259,6 @@ class ConstrainedLattice:
         freq = frequent_only(dict(support), self.min_count)
         if len(freq) < len(self._pending):
             self._note_pruned(k, "infrequent", len(self._pending) - len(freq))
-        if self.keep_border and len(freq) < len(support):
-            self.border[k] = {
-                itemset: n for itemset, n in support.items()
-                if n < self.min_count
-            }
         self._pending = None
         self.level = k
         if k == 1:
@@ -406,7 +390,6 @@ class ConstrainedLattice:
             level1_supports=dict(self.level1_supports),
             counted_per_level=dict(self.counted_per_level),
             prune_counts=prune_counts,
-            border={k: dict(sets) for k, sets in self.border.items()},
         )
 
     # ------------------------------------------------------------------

@@ -6,7 +6,7 @@ pool.  This module generalizes the idea to **every infrastructure seam**
 the serving stack crosses: filesystem writes and reads (torn write,
 short read, ``ENOSPC``, ``EACCES``, ``EIO``, corrupt bytes, rename
 failure), the event journal's append/rotate path, checkpoint
-persistence, incremental skeleton refresh, and the monotonic clock.
+persistence, skeleton refresh under churn, and the monotonic clock.
 
 The design is a *plan*, not a monkeypatch: production code threads its
 fragile operations through the tiny helpers here
@@ -63,7 +63,7 @@ FAULT_SITES = frozenset(
         # crash-safe checkpointing
         "checkpoint.save",
         "checkpoint.load",
-        # incremental skeleton maintenance under churn
+        # skeleton refresh under churn
         "skeleton.refresh",
         # the monotonic clock feeding TTL and the circuit breaker
         "clock",

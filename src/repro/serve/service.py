@@ -809,11 +809,11 @@ class QueryService:
         Result-cache entries of the base dataset are invalidated (both
         tiers — their fingerprints can never match the new dataset, so
         keeping them only wastes capacity), while frequency skeletons
-        are **migrated**: each base-dataset skeleton is incrementally
-        refreshed (:func:`~repro.serve.delta.refresh_skeleton`) at the
-        rescaled threshold and re-keyed under the new fingerprint, so
-        the very next query over ``new_db`` is served from the skeleton
-        tier with zero database scans in the common case.  A skeleton
+        are **migrated**: each base-dataset skeleton is refreshed
+        (:func:`~repro.serve.delta.refresh_skeleton`: rebuilt on the new
+        version's index at the rescaled threshold) and re-keyed under
+        the new fingerprint, so the very next query over ``new_db`` is
+        served from the skeleton tier with no counting pass.  A skeleton
         whose refresh is guard-interrupted (or that cannot be refreshed)
         is dropped — never served stale; its queries fall back to cold.
 

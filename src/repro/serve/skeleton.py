@@ -26,9 +26,12 @@ standing in for the stored count events.
 
 Skeletons are mined once per (dataset, domain) at the **weakest**
 threshold a batch needs (the union-of-thresholds rule of the batch
-executor) and cached; mining is guard-aware — a skeleton whose mining
-run was interrupted is discarded, never cached, so a partial lattice
-can never masquerade as a complete oracle.
+executor), counting as a cold query counts (on the database's bitmap
+index unless a list backend is named), and cached; a churn step
+rebuilds them the same way over the new version
+(:mod:`repro.serve.delta`).  Mining is guard-aware — a skeleton whose
+mining run was interrupted is discarded, never cached, so a partial
+lattice can never masquerade as a complete oracle.
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ from typing import Dict, Optional, Tuple
 from repro.core.query import CFQ
 from repro.db.stats import OpCounters
 from repro.db.transactions import TransactionDatabase
-from repro.errors import RunInterrupted
+from repro.mining.backends import make_backend
 from repro.mining.cap import cap_mine
+from repro.mining.lattice import counting_source
 from repro.serve.fingerprint import dataset_fingerprint, domain_fingerprint
 
 Itemset = Tuple[int, ...]
@@ -55,23 +59,12 @@ class Skeleton:
     singletons included) to its exact support; lookups for anything else
     default to 0, which is sound for queries whose threshold is at least
     ``min_count`` (see module docstring).
-
-    ``border`` holds the *negative border*: every candidate Apriori
-    generated and counted whose support fell below ``min_count``.  It
-    never participates in query serving (those lookups must return the
-    sound default 0) — it exists so incremental maintenance under churn
-    (:mod:`repro.serve.delta`) knows the exact support of **every**
-    generated candidate and can promote/demote by delta arithmetic
-    alone.  At level 1 ``supports`` ∪ ``border`` covers the whole domain
-    universe.
     """
 
     dataset: str
     domain: str
     min_count: int
     supports: Dict[Itemset, int]
-    #: Counted-but-infrequent candidates (exact supports); see above.
-    border: Dict[Itemset, int] = field(default_factory=dict)
     #: Transaction count of the dataset the skeleton was mined over
     #: (min_count rescaling under churn needs the old denominator).
     n_transactions: int = 0
@@ -82,7 +75,7 @@ class Skeleton:
     mining_counters: OpCounters = field(default_factory=OpCounters)
     #: The live Domain object the skeleton was mined over.  Skeletons are
     #: memory-tier only, so holding the (immutable) domain is safe; the
-    #: churn refresher needs it to project delta transactions.
+    #: churn refresher needs it to rebuild over the new version.
     domain_ref: object = None
 
     def serves(self, min_count: int) -> bool:
@@ -91,14 +84,6 @@ class Skeleton:
 
     def lookup(self, candidate: Itemset) -> int:
         return self.supports.get(candidate, 0)
-
-    def known_support(self, candidate: Itemset):
-        """Exact support if the candidate was ever counted, else ``None``
-        (frequent and border entries both qualify; refresh-only helper)."""
-        found = self.supports.get(candidate)
-        if found is not None:
-            return found
-        return self.border.get(candidate)
 
 
 def skeleton_key(dataset_fp: str, domain_fp: str) -> str:
@@ -135,39 +120,36 @@ def build_skeleton(
     """Mine one (dataset, domain) skeleton at ``min_count``.
 
     Runs plain Apriori (an unconstrained :func:`~repro.mining.cap.cap_mine`)
-    over the domain-projected transactions, keeping the negative border
-    that churn maintenance (:mod:`repro.serve.delta`) refreshes by delta
-    arithmetic.  A guard trip propagates as
+    with the engine's counting rule: the backend is resolved as
+    :class:`~repro.mining.dovetail.DovetailEngine` resolves it, so with
+    none named it counts on the database's bitmap index and projects
+    nothing, while a named list backend counts the domain-projected
+    transactions.  A guard trip propagates as
     :class:`~repro.errors.RunInterrupted` — the caller must *not* cache
     anything in that case.
     """
     counters = OpCounters()
-    projected = [domain.project(t) for t in db.transactions]
+    backend = make_backend("bitmap" if backend is None else backend)
     result = cap_mine(
         var=var,
         domain=domain,
-        transactions=projected,
+        transactions=counting_source(backend, db, domain),
         min_count=min_count,
         counters=counters,
         backend=backend,
         guard=guard,
         tracer=tracer,
-        keep_border=True,
     )
     supports: Dict[Itemset, int] = {}
     for sets in result.frequent.values():
         supports.update(sets)
-    border: Dict[Itemset, int] = {}
-    for sets in result.border.values():
-        border.update(sets)
     return Skeleton(
         dataset=dataset_fingerprint(db),
         domain=domain_fingerprint(domain),
         min_count=min_count,
         supports=supports,
-        border=border,
         n_transactions=len(db),
-        nbytes=_approx_bytes(supports) + _approx_bytes(border),
+        nbytes=_approx_bytes(supports),
         mining_counters=counters,
         domain_ref=domain,
     )

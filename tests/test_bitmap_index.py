@@ -49,6 +49,20 @@ def pack_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def project_calls(monkeypatch):
+    """Every ``Domain.project`` call, derived domains included."""
+    calls = []
+    original = Domain.project
+
+    def counting(self, transaction):
+        calls.append(transaction)
+        return original(self, transaction)
+
+    monkeypatch.setattr(Domain, "project", counting)
+    return calls
+
+
 def test_construction_append_and_delete_build_no_index(pack_calls):
     """Like the digest, the index is built on first use, never by the
     constructor or by churn."""
@@ -88,6 +102,29 @@ def test_counting_source_picks_the_index_only_for_bitmap(workload):
     assert source.view is None  # nothing resolved until a count
     listed = counting_source(HybridBackend(), workload.db, domain)
     assert listed == [domain.project(t) for t in workload.db]
+
+
+@pytest.mark.parametrize("derived", [False, True], ids=["items", "types"])
+def test_skeleton_build_and_refresh_project_nothing(
+    workload, project_calls, derived
+):
+    """A default skeleton is mined on the database's index, and a refresh
+    rebuilds on the new version's index: neither projects a
+    transaction.  The hybrid list build projects every one."""
+    from repro.serve import build_skeleton, refresh_skeleton
+
+    db = workload.db
+    domain = (
+        derived_type_domain(workload.catalog) if derived
+        else workload.domains["S"]
+    )
+    skeleton = build_skeleton(db, domain, min_count=10)
+    db2, delta = db.append([[1, 2, 3], [2, 4]])
+    refreshed, __ = refresh_skeleton(skeleton, db2, delta)
+    assert skeleton.supports and refreshed.supports
+    assert project_calls == []
+    build_skeleton(db, domain, min_count=10, backend="hybrid")
+    assert len(project_calls) == len(db)
 
 
 @pytest.mark.parametrize("use_numpy", [True, False])

@@ -37,6 +37,18 @@ def test_query_with_baseline_and_explain(capsys):
     assert "operation counts" in out
 
 
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_query_pairs_below_one_prints_no_pairs(capsys, limit):
+    code = main(
+        ["query", "{(S, T) | max(S.Price) <= min(T.Price)}",
+         "--transactions", "300", "--pairs", limit]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "first 0 valid pairs:" in out
+    assert "S=" not in out
+
+
 def test_single_variable_query(capsys):
     code = main(
         ["query", "{(S) | S.Type = {snacks}}", "--transactions", "200"]

@@ -50,7 +50,6 @@ def test_append_delta_describes_the_step(db):
     assert delta.base_size == 4 and delta.new_size == 5
     assert delta.added_tids == (4,)
     assert delta.removed == () and delta.removed_tids == ()
-    assert delta.touched_items == frozenset({5, 6})
     assert delta.churn_fraction == pytest.approx(0.25)
     assert not delta.is_empty
 
@@ -72,7 +71,6 @@ def test_delete_renumbers_survivors_densely(db):
     assert delta.removed == ((2, 3), (3, 4, 5))
     assert delta.removed_tids == (1, 3)
     assert delta.added == ()
-    assert delta.touched_items == frozenset({2, 3, 4, 5})
     assert new_db.version == db.version + 1
 
 
@@ -127,7 +125,6 @@ def test_make_delta_derives_transactions_from_tids(db):
         base_digest="b", new_digest="n", added_tids=(4,),
     )
     assert delta.added == ((5, 6),)
-    assert delta.touched_items == frozenset({5, 6})
 
 
 def test_as_dict_is_flat_and_json_safe(db):

@@ -6,14 +6,14 @@ dataset is **bit-identical** to cold-mining that dataset from scratch —
 the same frequent sets with the same supports in the same order, the
 same pairs, the same bound histories, and the same answer-bearing
 counters.  Equivalently: a skeleton refreshed through any chain of
-deltas is mapping-identical (``supports`` *and* negative ``border``) to
-one cold-built from the final transactions.
+deltas has the same ``supports`` as one built from the final
+transactions on the hybrid list path, which shares no counting code
+with the default bitmap index a refresh rebuilds on.
 
 Proven here on the same three workload families as
-``test_serve_differential.py``, plus randomized churn sequences; this
-suite runs in the fast lane (no ``slow`` marker) because deltas are
-small and refreshes are cheap — that cheapness is itself the tentpole
-claim, benchmarked in ``benchmarks/test_churn.py``.
+``test_serve_differential.py``, plus randomized churn sequences and a
+derived Type domain; this suite runs in the fast lane (no ``slow``
+marker) because the workloads are small.
 """
 
 import random
@@ -26,6 +26,7 @@ from repro.datagen.workloads import (
     jmax_workload,
     quickstart_workload,
 )
+from repro.db.domain import derived_type_domain
 from repro.errors import ExecutionError
 from repro.serve import (
     QueryService,
@@ -148,29 +149,35 @@ def test_apply_delta_invalidates_base_results_and_rejects_mismatch():
 
 
 # ----------------------------------------------------------------------
-# Skeleton-level: refresh == cold build, mapping-identical
+# Skeleton-level: default build and refresh == hybrid list build
 # ----------------------------------------------------------------------
-def _skeleton_fixture(n=250, min_count=15):
+SKELETON_DOMAINS = {
+    "items": lambda workload: workload.domains["S"],
+    "types": lambda workload: derived_type_domain(workload.catalog),
+}
+
+
+def _skeleton_fixture(n=250, min_count=15, domain="items"):
     workload = quickstart_workload(n_transactions=n)
-    domain = workload.domains["S"]
+    domain = SKELETON_DOMAINS[domain](workload)
     skeleton = build_skeleton(workload.db, domain, min_count)
     return workload.db, domain, skeleton
 
 
-def test_refresh_equals_cold_build_including_border():
-    db, domain, skeleton = _skeleton_fixture()
+@pytest.mark.parametrize("domain_name", sorted(SKELETON_DOMAINS))
+def test_refresh_equals_cold_build(domain_name):
+    db, domain, skeleton = _skeleton_fixture(domain=domain_name)
+    listed = build_skeleton(db, domain, skeleton.min_count, backend="hybrid")
+    assert skeleton.supports == listed.supports
     rng = random.Random(5)
     db2, delta = db.append(_churn_transactions(db, 12, rng))
 
     refreshed, stats = refresh_skeleton(skeleton, db2, delta)
-    cold = build_skeleton(db2, domain, refreshed.min_count)
+    cold = build_skeleton(db2, domain, refreshed.min_count, backend="hybrid")
     assert refreshed.supports == cold.supports
-    assert refreshed.border == cold.border
     assert refreshed.dataset == delta.new_digest
     assert refreshed.n_transactions == len(db2)
-    assert stats.probed >= 0 and stats.entries_after == (
-        len(cold.supports) + len(cold.border)
-    )
+    assert stats.probed == cold.mining_counters.total_counted > 0
 
 
 def test_refresh_chains_across_mixed_churn():
@@ -184,20 +191,6 @@ def test_refresh_chains_across_mixed_churn():
         skeleton, _ = refresh_skeleton(skeleton, db, delta)
     cold = build_skeleton(db, domain, skeleton.min_count)
     assert skeleton.supports == cold.supports
-    assert skeleton.border == cold.border
-
-
-def test_refresh_with_explicit_threshold_promotes_across_border():
-    """Dropping the threshold during a refresh promotes border itemsets
-    (and probes their never-counted supersets) — still cold-identical."""
-    db, domain, skeleton = _skeleton_fixture(min_count=20)
-    db2, delta = db.append([[1, 2, 3]])
-    refreshed, stats = refresh_skeleton(skeleton, db2, delta, min_count=14)
-    cold = build_skeleton(db2, domain, 14)
-    assert refreshed.supports == cold.supports
-    assert refreshed.border == cold.border
-    assert stats.promoted > 0
-    assert stats.probed > 0 and stats.probe_scans >= 1
 
 
 def test_refresh_rejects_a_stale_base():
@@ -213,11 +206,8 @@ def test_refresh_rejects_a_stale_base():
 def test_empty_delta_refresh_is_pure_rekeying():
     db, domain, skeleton = _skeleton_fixture()
     db2, delta = db.append([])
-    refreshed, stats = refresh_skeleton(skeleton, db2, delta)
+    refreshed, __ = refresh_skeleton(skeleton, db2, delta)
     assert refreshed.supports == skeleton.supports
-    assert refreshed.border == skeleton.border
-    assert stats.updated == 0 and stats.probed == 0
-    assert stats.l1_crossings == 0
 
 
 # ----------------------------------------------------------------------

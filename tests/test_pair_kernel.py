@@ -73,6 +73,8 @@ def _split(constraints, var, other):
 
 
 def reference_pairs(s_sets, t_sets, constraints, domains, counters, limit=None):
+    if limit is not None and limit < 1:
+        return []
     own, theirs, twovar = _split(constraints, "S", "T")
     s_survivors = _reference_filter(s_sets, own, "S", domains, counters)
     t_survivors = _reference_filter(t_sets, theirs, "T", domains, counters)
@@ -496,7 +498,7 @@ def scenario(draw):
     constraints = [twovar() for __ in range(draw(st.integers(1, 3)))]
     constraints += [onevar() for __ in range(draw(st.integers(0, 2)))]
     constraints = draw(st.permutations(constraints))
-    limit = draw(st.one_of(st.none(), st.integers(1, 12)))
+    limit = draw(st.one_of(st.none(), st.integers(0, 12)))
     return sets_of(domains["S"]), sets_of(domains["T"]), constraints, domains, limit
 
 

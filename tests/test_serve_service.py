@@ -486,9 +486,7 @@ def test_skeleton_bytes_track_getsizeof_of_keys_values_and_slots(workload):
         )
 
     assert _approx_bytes(skeleton.supports) == pinned(skeleton.supports)
-    assert skeleton.nbytes == (
-        pinned(skeleton.supports) + pinned(skeleton.border)
-    )
+    assert skeleton.nbytes == pinned(skeleton.supports)
     # The old formula (tuple cells only) undercounted by at least the
     # dict slots alone.
     assert skeleton.nbytes > sys.getsizeof(skeleton.supports)

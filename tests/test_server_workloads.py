@@ -3,17 +3,20 @@
 Hypothesis drives one :class:`~repro.serve.server.QueryServer` core
 (the HTTP-agnostic layer — exactly what every worker thread runs)
 through random event interleavings: queries from tenants with very
-different admission profiles, live dataset churn migrated with
+different admission profiles, with engine options absent, null,
+well-typed or ill-typed, live dataset churn migrated with
 ``apply_delta``, fake-clock advances past the cache TTL, a fault plan
 injecting skeleton-refresh failures and a clock jump mid-run.
 
 The property: every ``200`` response carrying a *complete* answer is
 bit-identical to a cold single-threaded run against the dataset version
-that was live when the request was admitted — regardless of which cache
-tier, flight, or fallback produced it.  Everything else must be an
-*honest* degradation: a schema-valid 4xx rejection, or a partial answer
-that says so (and that never poisons what an unguarded tenant sees
-next).  A shrunk failure reads as a minimal event log via ``note()``.
+that was live when the request was admitted, with the request's
+defaulted options — regardless of which cache tier, flight, or fallback
+produced it.  Everything else must be an *honest* degradation: a
+schema-valid 4xx rejection (400 only for an ill-typed option, 429 only
+for the rate-limited tenant), or a partial answer that says so (and
+that never poisons what an unguarded tenant sees next).  A shrunk
+failure reads as a minimal event log via ``note()``.
 """
 
 import json
@@ -44,6 +47,9 @@ MINSUPS = (0.03, 0.06)
 CONSTRAINT_SETS = (
     tuple(WORKLOAD.constraints),
     tuple(WORKLOAD.constraints[:2]),
+    # J^k_max bounds this one, so ``use_jmax`` changes its counters: a
+    # run whose options differ from its key's cannot match the oracle.
+    (WORKLOAD.constraints[0], "sum(S.Price) <= sum(T.Price)"),
 )
 
 #: ``capped`` trips its candidate budget on anything non-trivial;
@@ -54,6 +60,33 @@ CONSTRAINT_SETS = (
 #: not earn them.
 TENANTS = ("alice", "bob", "stranger", "capped")
 UNGUARDED = {"alice", "stranger"}
+
+#: The request's ``options``: absent, null (the default) and well-typed
+#: values, then ill-typed ones, which must be refused with a 400.
+ILL_TYPED = (
+    {"dovetail": "no"},
+    {"reduction_rounds": 0},
+    {"use_reduction": 1},
+)
+OPTIONS = (
+    None,
+    {"dovetail": None},
+    {"dovetail": False},
+    {"use_jmax": None, "reduction_rounds": 2},
+) + ILL_TYPED
+ENGINE_DEFAULTS = {
+    "dovetail": True,
+    "use_reduction": True,
+    "use_jmax": True,
+    "reduction_rounds": 1,
+}
+
+
+def _defaulted(options):
+    """The engine options a request runs with: null means the default."""
+    run = dict(ENGINE_DEFAULTS)
+    run.update({k: v for k, v in (options or {}).items() if v is not None})
+    return tuple(sorted(run.items()))
 
 
 def _registry(clock):
@@ -71,13 +104,14 @@ def _registry(clock):
 
 
 @lru_cache(maxsize=None)
-def _cold_oracle(transactions, minsup, c_index):
-    """JSON-normalized cold answer keyed by dataset *content*."""
+def _cold_oracle(transactions, minsup, c_index, options):
+    """JSON-normalized cold answer keyed by dataset *content* and the
+    defaulted engine options."""
     cfq = WORKLOAD.cfq(
         constraints=list(CONSTRAINT_SETS[c_index]), minsup=minsup
     )
     db = TransactionDatabase([list(t) for t in transactions])
-    result = CFQOptimizer(cfq).execute(db)
+    result = CFQOptimizer(cfq).execute(db, **dict(options))
     return json.loads(json.dumps(answer_document(result)))
 
 
@@ -97,6 +131,7 @@ _query_events = st.tuples(
     st.sampled_from(TENANTS),
     st.sampled_from(MINSUPS),
     st.sampled_from(range(len(CONSTRAINT_SETS))),
+    st.sampled_from(OPTIONS),
 )
 _churn_events = st.tuples(
     st.just("churn"),
@@ -161,26 +196,34 @@ def test_random_server_workload_serves_no_wrong_answer(events, data):
                      f"(refreshed={report.skeletons_refreshed})")
                 assert core.db is live_db
             elif kind == "query":
-                _, tenant, minsup, c_index = event
+                _, tenant, minsup, c_index, options = event
                 cfq = WORKLOAD.cfq(
                     constraints=list(CONSTRAINT_SETS[c_index]), minsup=minsup
                 )
-                status, body = core.handle_query(
-                    {"query": query_text(cfq), "tenant": tenant}
-                )
+                request = {"query": query_text(cfq), "tenant": tenant}
+                if options is not None:
+                    request["options"] = options
+                status, body = core.handle_query(request)
                 if status != 200:
                     validate_error_body(json.loads(json.dumps(body)))
                     note(f"query {tenant} minsup={minsup} c={c_index} "
-                         f"-> {status} {body['code']}")
+                         f"options={options} -> {status} {body['code']}")
                     # Single-threaded driving can never fill the queue,
                     # and every tenant name resolves to a profile:
-                    # rejection here means rate limiting, nothing else.
-                    assert status == 429 and body["code"] == "rate_limit"
-                    assert tenant == "bob"
+                    # rejection here means rate limiting or an
+                    # ill-typed option, nothing else.
+                    if status == 429:
+                        assert body["code"] == "rate_limit"
+                        assert tenant == "bob"
+                    else:
+                        assert status == 400 and body["code"] == "bad_request"
+                        assert options in ILL_TYPED
                     continue
+                assert options not in ILL_TYPED
                 answer = body["answer"]
                 serving = body["serving"]
-                note(f"query {tenant} minsup={minsup} c={c_index} -> 200 "
+                note(f"query {tenant} minsup={minsup} c={c_index} "
+                     f"options={options} -> 200 "
                      f"{answer['status']} source={serving['source']}")
                 if answer["status"] == "partial":
                     # Honest degradation: self-identified, attributed,
@@ -190,7 +233,9 @@ def test_random_server_workload_serves_no_wrong_answer(events, data):
                     assert "pairs" not in answer
                     continue
                 assert answer["status"] == "complete"
-                oracle = _cold_oracle(live_db.transactions, minsup, c_index)
+                oracle = _cold_oracle(
+                    live_db.transactions, minsup, c_index, _defaulted(options)
+                )
                 assert answer == oracle, (tenant, minsup, c_index, serving)
                 if tenant in UNGUARDED:
                     # No guard, so nothing may have truncated it — a
