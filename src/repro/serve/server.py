@@ -8,7 +8,12 @@ within one session.  Layered (request → response):
 1. **Admission** (:mod:`repro.serve.admission`): per-tenant token
    buckets (429), per-tenant :class:`~repro.runtime.guard.RunGuard`
    budgets, a bounded global queue with load shedding (503), and
-   unknown-tenant rejection (403).
+   unknown-tenant rejection (403).  Then the request's fields are
+   validated (400), and a **request memo** maps what the client sent —
+   text, minsup and defaulted options, on one dataset version — to the
+   parsed CFQ, its result key and its query fingerprint, so a repeat
+   parses and hashes nothing.  ``apply_delta`` drops the superseded
+   version's entries.
 2. **Document cache**: a complete answer already rendered for the same
    :func:`~repro.serve.fingerprint.result_key` is sent again as it is —
    no flight/coalescer bookkeeping, no engine.  It is the server's only
@@ -36,9 +41,10 @@ timings).
 in ``docs/server.md``):
 
 * level 0 — server structures: flight table, coalescer, the server's
-  own state lock (queue depth, dataset swap, document stores), the HTTP
-  front-end's open-connection set;
-* level 1 — ``LRUCache`` tier locks (result / skeleton / matrix);
+  own state lock (queue depth, dataset swap, document and request-memo
+  stores), the HTTP front-end's open-connection set;
+* level 1 — ``LRUCache`` tier locks (result / skeleton / matrix /
+  document / request memo);
 * level 2 — ``CacheStats`` lock, ``MetricsRegistry`` lock;
 * level 3 — ``EventJournal`` lock.
 
@@ -179,7 +185,9 @@ class QueryServer:
         the key is the full :func:`result_key` (dataset + query +
         options), and only complete answers are cached.  Entries are
         tagged with their dataset fingerprint and dropped when
-        :meth:`apply_delta` supersedes that version.
+        :meth:`apply_delta` supersedes that version.  The request memo
+        (parsed CFQ, result key and query fingerprint by request) has
+        the same capacity and the same version scope.
     default_minsup:
         Support threshold for queries that set none.
     backend:
@@ -221,6 +229,11 @@ class QueryServer:
         # Rendered (answer_dict, answer_json) pairs by result key; the
         # values are immutable by convention — every reader shares them.
         self._docs = LRUCache(max_entries=doc_cache_entries)
+        # (cfq, result key, query fingerprint) by what the client sent on
+        # one dataset version, so a repeat parses and hashes nothing.
+        # Every request with that input reads the same CFQ, which nothing
+        # mutates after construction.
+        self._requests = LRUCache(max_entries=doc_cache_entries)
         self.clock = clock
         self._db = db
         self._state_lock = threading.Lock()
@@ -244,10 +257,11 @@ class QueryServer:
         report = self.service.apply_delta(new_db, delta, **kwargs)
         with self._state_lock:
             self._db = new_db
-        # The superseded version's documents can never hit again (their
-        # keys carry its fingerprint); one rendered after the swap is
-        # never stored (``_store_document``).
+        # The superseded version's documents and parsed requests can
+        # never hit again (their keys carry its fingerprint); one made
+        # after the swap is never stored (``_store``).
         self._docs.invalidate_tag(delta.base_digest)
+        self._requests.invalidate_tag(delta.base_digest)
         return report
 
     # ------------------------------------------------------------------
@@ -343,12 +357,18 @@ class QueryServer:
                 400, "bad_request", 'missing "query" text', tenant=tenant
             )
         minsup = payload.get("minsup", self.default_minsup)
-        if not isinstance(minsup, (int, float)) or not 0 < minsup <= 1:
+        if (
+            isinstance(minsup, bool)
+            or not isinstance(minsup, (int, float))
+            or not 0 < minsup <= 1
+        ):
             return 400, error_body(
                 400, "bad_request",
                 f"minsup must be in (0, 1], got {minsup!r}", tenant=tenant,
             )
-        options = payload.get("options") or {}
+        options = payload.get("options")
+        if options is None:
+            options = {}
         if not isinstance(options, dict):
             return 400, error_body(
                 400, "bad_request", '"options" must be an object', tenant=tenant
@@ -377,22 +397,35 @@ class QueryServer:
                     f"option {name!r} must be {expected} or null, got {value!r}",
                     tenant=tenant,
                 )
-        db = self.db
-        try:
-            cfq = parse_cfq(text, self.domains, default_minsup=float(minsup))
-        except ReproError as exc:
-            return 400, error_body(400, "bad_request", str(exc), tenant=tenant)
         defaulted = self.service._defaulted(
             {name: options.get(name) for name in RESULT_OPTIONS}
         )
+        db = self.db
+        # Keyed on the options the engine runs with, so absent, null and
+        # the spelled-out default share one entry.
+        memo_key = (
+            dataset_fingerprint(db),
+            text,
+            float(minsup),
+            tuple(sorted(defaulted.items())),
+        )
+        memo = self._requests.get(memo_key)
+        if memo is None:
+            try:
+                cfq = parse_cfq(text, self.domains, default_minsup=float(minsup))
+            except ReproError as exc:
+                return 400, error_body(400, "bad_request", str(exc), tenant=tenant)
+            memo = (cfq, result_key(cfq, db, defaulted), query_fingerprint(cfq, db))
+            self._store(self._requests, db, memo_key, memo, len(text))
+        cfq, key, query_fp = memo
         return _Request(
             db=db,
             cfq=cfq,
             defaulted=defaulted,
             tenant=tenant,
             profile=profile,
-            key=result_key(cfq, db, defaulted),
-            query_fp=query_fingerprint(cfq, db),
+            key=key,
+            query_fp=query_fp,
         )
 
     # ------------------------------------------------------------------
@@ -529,28 +562,24 @@ class QueryServer:
         if cached is None:
             answer = answer_document(result)
             answer_json = json.dumps(answer)
-            self._store_document(request, answer, answer_json)
+            self._store(
+                self._docs, request.db, request.key, (answer, answer_json),
+                len(answer_json),
+            )
         else:
             answer, answer_json = cached
         body["answer"] = answer
         body["_answer_json"] = answer_json
         return 200, body
 
-    def _store_document(
-        self, request: _Request, answer: Dict[str, Any], answer_json: str
-    ) -> None:
-        """Cache a rendered answer under its dataset version's tag —
-        unless :meth:`apply_delta` has already superseded that version
-        (and so invalidated its tag), which the state lock orders."""
+    def _store(self, cache: LRUCache, db, key, value, nbytes: int) -> None:
+        """Cache ``value`` under its dataset version's tag — unless
+        :meth:`apply_delta` has already superseded that version (and so
+        invalidated its tag), which the state lock orders."""
         with self._state_lock:
-            if request.db is not self._db:
+            if db is not self._db:
                 return
-            self._docs.put(
-                request.key,
-                (answer, answer_json),
-                len(answer_json),
-                tag=dataset_fingerprint(request.db),
-            )
+            cache.put(key, value, nbytes, tag=dataset_fingerprint(db))
 
     # ------------------------------------------------------------------
     # Introspection endpoints

@@ -329,6 +329,11 @@ def test_full_queue_sheds_with_503_before_any_parse_work():
       "options": {"reduction_rounds": 0}}, "'reduction_rounds' must be"),
     ({"query": "{(S) | freq(S)}", "tenant": "t",
       "options": {"reduction_rounds": 2.0}}, "'reduction_rounds' must be"),
+    ({"query": "{(S) | freq(S)}", "tenant": "t", "options": []}, "object"),
+    ({"query": "{(S) | freq(S)}", "tenant": "t", "options": 0}, "object"),
+    ({"query": "{(S) | freq(S)}", "tenant": "t", "options": ""}, "object"),
+    ({"query": "{(S) | freq(S)}", "tenant": "t", "options": False}, "object"),
+    ({"query": "{(S) | freq(S)}", "minsup": True, "tenant": "t"}, "minsup"),
 ])
 def test_malformed_requests_get_schemad_400s(payload, fragment):
     core = _core()
@@ -341,7 +346,11 @@ def test_malformed_requests_get_schemad_400s(payload, fragment):
 def test_null_option_runs_the_default_its_key_names():
     """``null`` is keyed as the option's default, so it must also run as
     the default: the document it stores is what a plain request for the
-    same key is served, and that must be a cold default run's answer."""
+    same key is served, and that must be a cold default run's answer.
+
+    The parsed-request memo is keyed on the same defaulted options:
+    absent and ``null`` share one entry, and a request whose options
+    change the run gets an entry, a key and an answer of its own."""
     workload = quickstart_workload(n_transactions=300, seed=7)
     core = QueryServer(
         QueryService(), workload.db, workload.domains, window_seconds=0.0
@@ -355,11 +364,37 @@ def test_null_option_runs_the_default_its_key_names():
     status, again = core.handle_query(request)
     assert status == 200
     assert again["serving"]["source"] == "doc-cache"
+    assert len(core._requests) == 1
     cfq = parse_cfq(text, workload.domains, default_minsup=0.05)
-    cold = answer_document(CFQOptimizer(cfq).execute(workload.db))
-    cold = json.loads(json.dumps(cold))
+
+    def cold_run(**options):
+        result = CFQOptimizer(cfq).execute(workload.db, **options)
+        return json.loads(json.dumps(answer_document(result)))
+
+    cold = cold_run()
     assert first["answer"] == cold
     assert again["answer"] == cold
+    assert cold["counters"]["sets_counted"] == 2682
+
+    status, no_dovetail = core.handle_query(
+        dict(request, options={"dovetail": False})
+    )
+    assert status == 200
+    assert no_dovetail["serving"]["source"] != "doc-cache"
+    key = first["serving"]["result_key"]
+    assert no_dovetail["serving"]["result_key"] != key
+    assert no_dovetail["answer"] == cold_run(dovetail=False)
+    assert no_dovetail["answer"]["counters"]["sets_counted"] == 2676
+    assert len(core._requests) == 2
+
+    status, no_jmax = core.handle_query(
+        dict(request, options={"use_jmax": False})
+    )
+    assert status == 200
+    assert no_jmax["serving"]["source"] != "doc-cache"
+    assert no_jmax["answer"] == cold_run(use_jmax=False)
+    assert no_jmax["answer"]["counters"] != cold["counters"]
+    assert len(core._requests) == 3
 
 
 def test_queue_depth_gauge_tracks_admissions():

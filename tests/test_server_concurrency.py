@@ -12,9 +12,13 @@ threads so the interleavings are *deterministic*, not hopeful:
 * **guard trips propagate without poisoning** — a leader cut short by a
   tenant budget hands ``status == "partial"`` to every waiter, and the
   next request re-executes fresh (nothing partial was cached).
+
+Every request with the same text, minsup and options on one dataset
+version reads one memoized ``CFQ``; a burst of them leaves it unchanged.
 """
 
 import json
+import sys
 import threading
 import time
 
@@ -28,8 +32,10 @@ from repro.serve import (
     TenantProfile,
     TenantRegistry,
     answer_document,
+    query_fingerprint,
     result_key,
 )
+import repro.serve.server as server_module
 import repro.serve.service as service_module
 from repro.serve.replay import query_text
 
@@ -156,17 +162,76 @@ def test_identical_concurrent_queries_execute_once(spy):
     assert counters.get("flight_dedup_hits", 0) >= n - 1
 
 
-def test_post_flight_request_is_served_from_cache_not_a_new_flight(spy):
+def test_post_flight_request_is_served_from_cache_not_a_new_flight(
+    spy, monkeypatch
+):
     core = _server()
     cfq = WORKLOAD.cfq(minsup=0.05)
     status, first = core.handle_query(_request(cfq))
     assert status == 200
     executed = len(spy.calls)
+    # The repeat is answered from the request memo and the document
+    # cache: nothing is parsed or hashed again.
+    called = []
+    for name in ("parse_cfq", "result_key", "query_fingerprint"):
+        monkeypatch.setattr(
+            server_module, name, lambda *a, name=name, **k: called.append(name)
+        )
     status, second = core.handle_query(_request(cfq))
+    assert called == []
     assert status == 200
     assert len(spy.calls) == executed  # warm path, no re-execution
+    assert second["serving"]["source"] == "doc-cache"
+    assert second["serving"]["result_key"] == first["serving"]["result_key"]
     assert second["answer"] == first["answer"]
     assert second["serving"]["dedup"] is False
+
+
+def test_memoized_query_is_unchanged_by_a_concurrent_burst():
+    """Threads outnumbering the cores, a short switch interval: budget-
+    capped requests (partials are never cached, so each one executes)
+    and unguarded ones share one memoized CFQ, which keeps its text,
+    its fingerprint and its key."""
+    tenants = TenantRegistry(
+        {
+            "capped": TenantProfile(
+                name="capped", rate=1e6, burst=1e6, max_candidates=1
+            ),
+            "roomy": TenantProfile(name="roomy", rate=1e6, burst=1e6),
+        }
+    )
+    core = _server(tenants=tenants)
+    cfq = WORKLOAD.cfq(minsup=0.05)
+    status, __ = core.handle_query(_request(cfq, tenant="roomy"))
+    assert status == 200
+    ((__, entry),) = core._requests.items()
+    memoized, key, fingerprint = entry.value
+    assert key == _flight_key(core, cfq)
+    assert fingerprint == query_fingerprint(cfq, WORKLOAD.db)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        responses = _run_threads(
+            8,
+            lambda i: [
+                core.handle_query(
+                    _request(cfq, tenant=("capped", "roomy")[(i + j) % 2])
+                )
+                for j in range(4)
+            ],
+        )
+    finally:
+        sys.setswitchinterval(interval)
+
+    for status, body in (r for batch in responses for r in batch):
+        assert status == 200
+        assert body["serving"]["result_key"] == key
+        assert body["serving"]["query_fingerprint"] == fingerprint
+    assert [entry.value[0] for __, entry in core._requests.items()] == [memoized]
+    assert str(memoized) == str(cfq)
+    assert query_fingerprint(memoized, WORKLOAD.db) == fingerprint
+    assert _flight_key(core, memoized) == key
 
 
 def test_skeleton_served_answer_is_not_stored_as_a_result_artifact():

@@ -3,9 +3,10 @@
 Each churn step makes a new dataset version.  Its content digest is
 computed once — by the ``append``/``delete`` that made it — and every
 later fingerprint reads the cached value.  The rendered-document cache
-tags each entry with its version's fingerprint, so ``apply_delta``
-drops the superseded version's documents, and an answer rendered for a
-version that was superseded meanwhile is never stored.
+and the parsed-request memo tag each entry with its version's
+fingerprint, so ``apply_delta`` drops the superseded version's entries,
+and an answer rendered, or a request parsed, for a version that was
+superseded meanwhile is never stored.
 """
 
 import sys
@@ -14,6 +15,7 @@ import threading
 import pytest
 
 import repro.db.digest
+import repro.serve.server
 from repro.datagen.workloads import quickstart_workload
 from repro.db.transactions import TransactionDatabase
 from repro.errors import ExecutionError
@@ -43,6 +45,10 @@ def _step(db, step):
     if step % 2 == 0:
         return db.append(WORKLOAD.db.transactions[step:step + 6])
     return db.delete(range(step, step + 5))
+
+
+def _tags(cache):
+    return {entry.tag for __, entry in cache.items()}
 
 
 @pytest.fixture
@@ -100,21 +106,40 @@ def test_superseded_documents_are_dropped():
             status, body = server.handle_query({"query": text, "tenant": "t"})
             assert status == 200, body
         assert server.stats()[1]["doc_cache_entries"] == len(SESSION)
+        assert len(server._requests) == len(SESSION)
+        assert _tags(server._requests) == {db.digest}
 
 
-def test_answer_rendered_for_a_superseded_version_is_not_cached():
+def test_answer_rendered_for_a_superseded_version_is_not_cached(monkeypatch):
     db = TransactionDatabase(WORKLOAD.db.transactions)
     __, server = _server(db)
     profile = server.tenants.resolve("t")
     request = server._parse({"query": SESSION[1], "tenant": "t"}, "t", profile)
+    assert _tags(server._requests) == {db.digest}
     new_db, delta = db.append(WORKLOAD.db.transactions[:6])
     server.apply_delta(new_db, delta)
+    assert len(server._requests) == 0
     status, body = server._execute(request)  # admitted before the swap
     assert status == 200 and body["answer"]["status"] == "complete"
     assert server.stats()[1]["doc_cache_entries"] == 0
     status, __ = server.handle_query({"query": SESSION[1], "tenant": "t"})
     assert status == 200
     assert server.stats()[1]["doc_cache_entries"] == 1
+    assert _tags(server._requests) == {new_db.digest}
+
+    # A request admitted on ``new_db`` whose parse finishes after the
+    # next swap stores no memo entry for the version it was parsed on.
+    parse = repro.serve.server.parse_cfq
+    newer_db, newer_delta = new_db.delete(range(3))
+
+    def parse_across_a_swap(*args, **kwargs):
+        server.apply_delta(newer_db, newer_delta)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(repro.serve.server, "parse_cfq", parse_across_a_swap)
+    request = server._parse({"query": SESSION[2], "tenant": "t"}, "t", profile)
+    assert request.db is new_db
+    assert len(server._requests) == 0
 
 
 def test_documents_never_outlive_their_version_under_concurrent_churn():
@@ -149,4 +174,5 @@ def test_documents_never_outlive_their_version_under_concurrent_churn():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert set(statuses) <= {200, 429}  # 429: the shared rate limit
-    assert {entry.tag for __, entry in server._docs.items()} <= {db.digest}
+    assert _tags(server._docs) <= {db.digest}
+    assert _tags(server._requests) <= {db.digest}

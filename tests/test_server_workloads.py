@@ -4,16 +4,18 @@ Hypothesis drives one :class:`~repro.serve.server.QueryServer` core
 (the HTTP-agnostic layer — exactly what every worker thread runs)
 through random event interleavings: queries from tenants with very
 different admission profiles, with engine options absent, null,
-well-typed or ill-typed, live dataset churn migrated with
-``apply_delta``, fake-clock advances past the cache TTL, a fault plan
-injecting skeleton-refresh failures and a clock jump mid-run.
+well-typed or ill-typed, repeats of the last query's text under fresh
+options (what a memo keyed on the text alone would confuse), live
+dataset churn migrated with ``apply_delta``, fake-clock advances past
+the cache TTL, a fault plan injecting skeleton-refresh failures and a
+clock jump mid-run.
 
 The property: every ``200`` response carrying a *complete* answer is
 bit-identical to a cold single-threaded run against the dataset version
 that was live when the request was admitted, with the request's
 defaulted options — regardless of which cache tier, flight, or fallback
 produced it.  Everything else must be an *honest* degradation: a
-schema-valid 4xx rejection (400 only for an ill-typed option, 429 only
+schema-valid 4xx rejection (400 only for an ill-typed field, 429 only
 for the rate-limited tenant), or a partial answer that says so (and
 that never poisons what an unguarded tenant sees next).  A shrunk
 failure reads as a minimal event log via ``note()``.
@@ -23,7 +25,8 @@ import json
 import random
 from functools import lru_cache
 
-from hypothesis import given, note, settings
+import pytest
+from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
 from repro.core.optimizer import CFQOptimizer
@@ -61,19 +64,29 @@ CONSTRAINT_SETS = (
 TENANTS = ("alice", "bob", "stranger", "capped")
 UNGUARDED = {"alice", "stranger"}
 
-#: The request's ``options``: absent, null (the default) and well-typed
-#: values, then ill-typed ones, which must be refused with a 400.
-ILL_TYPED = (
-    {"dovetail": "no"},
-    {"reduction_rounds": 0},
-    {"use_reduction": 1},
+#: Extra request fields: engine options absent, null (the default) or
+#: well-typed, then ill-typed values, which must be refused with a 400.
+#: ``use_jmax: false`` is the one value that changes an answer document
+#: here (constraint set 2's, at both minsups).
+WELL_TYPED = (
+    {},
+    {"options": None},
+    {"options": {"dovetail": None}},
+    {"options": {"dovetail": False}},
+    {"options": {"use_jmax": False}},
+    {"options": {"use_jmax": None, "reduction_rounds": 2}},
 )
-OPTIONS = (
-    None,
-    {"dovetail": None},
-    {"dovetail": False},
-    {"use_jmax": None, "reduction_rounds": 2},
-) + ILL_TYPED
+ILL_TYPED = (
+    {"options": {"dovetail": "no"}},
+    {"options": {"reduction_rounds": 0}},
+    {"options": {"use_reduction": 1}},
+    {"options": []},
+    {"options": 0},
+    {"options": ""},
+    {"options": False},
+    {"minsup": True},
+)
+FIELDS = WELL_TYPED + ILL_TYPED
 ENGINE_DEFAULTS = {
     "dovetail": True,
     "use_reduction": True,
@@ -131,7 +144,14 @@ _query_events = st.tuples(
     st.sampled_from(TENANTS),
     st.sampled_from(MINSUPS),
     st.sampled_from(range(len(CONSTRAINT_SETS))),
-    st.sampled_from(OPTIONS),
+    st.sampled_from(FIELDS),
+)
+# The last query's text again, from a fresh tenant with fresh options:
+# only well-typed ones, since an ill-typed request never reaches a cache.
+_requery_events = st.tuples(
+    st.just("requery"),
+    st.sampled_from(TENANTS),
+    st.sampled_from(WELL_TYPED),
 )
 _churn_events = st.tuples(
     st.just("churn"),
@@ -144,15 +164,37 @@ _other_events = st.one_of(
     st.tuples(st.just("clear")),
 )
 _events = st.lists(
-    st.one_of(_query_events, _churn_events, _other_events),
+    st.one_of(_query_events, _requery_events, _churn_events, _other_events),
     min_size=1,
     max_size=8,
 )
 
 
+#: The same text asked under options that change its answer: random
+#: draws reach this in about one example in a hundred, so it always runs.
+OPTION_MIX_UP = [
+    ("query", "alice", 0.03, 2, {}),
+    ("requery", "stranger", {"options": {"use_jmax": False}}),
+]
+
+
 @settings(max_examples=10, deadline=None)
-@given(events=_events, data=st.data())
-def test_random_server_workload_serves_no_wrong_answer(events, data):
+@given(events=_events, fault_seed=st.integers(0, 3))
+@example(events=OPTION_MIX_UP, fault_seed=0)
+def test_random_server_workload_serves_no_wrong_answer(events, fault_seed):
+    _serve_workload(events, fault_seed)
+
+
+@pytest.mark.slow
+@settings(max_examples=200, deadline=None)
+@given(events=_events, fault_seed=st.integers(0, 3))
+def test_random_server_workload_serves_no_wrong_answer_at_200_examples(
+    events, fault_seed
+):
+    _serve_workload(events, fault_seed)
+
+
+def _serve_workload(events, fault_seed):
     class FakeClock:
         now = 0.0
 
@@ -165,7 +207,7 @@ def test_random_server_workload_serves_no_wrong_answer(events, data):
     # junk), and one clock read jumps past the TTL (expiring caches at
     # a moment no event chose).
     plan = (
-        FaultPlan(seed=data.draw(st.integers(0, 3), label="fault-seed"))
+        FaultPlan(seed=fault_seed)
         .add("skeleton.refresh", "error", times=1, after=1)
         .add("clock", "clock_jump", times=1, after=20, jump_seconds=120.0)
     )
@@ -184,6 +226,7 @@ def test_random_server_workload_serves_no_wrong_answer(events, data):
         clock=wrapped_clock,
     )
     live_db = WORKLOAD.db
+    last_query = None  # (minsup, constraint set) of the last query event
 
     with faults.installed(plan):
         for event in events:
@@ -195,35 +238,40 @@ def test_random_server_workload_serves_no_wrong_answer(events, data):
                 note(f"churn {op} n={n} seed={seed} -> {len(live_db)} txns "
                      f"(refreshed={report.skeletons_refreshed})")
                 assert core.db is live_db
-            elif kind == "query":
-                _, tenant, minsup, c_index, options = event
+            elif kind in ("query", "requery"):
+                if kind == "query":
+                    _, tenant, minsup, c_index, fields = event
+                    last_query = (minsup, c_index)
+                elif last_query is None:
+                    continue
+                else:
+                    _, tenant, fields = event
+                    minsup, c_index = last_query
                 cfq = WORKLOAD.cfq(
                     constraints=list(CONSTRAINT_SETS[c_index]), minsup=minsup
                 )
-                request = {"query": query_text(cfq), "tenant": tenant}
-                if options is not None:
-                    request["options"] = options
+                request = dict(fields, query=query_text(cfq), tenant=tenant)
                 status, body = core.handle_query(request)
                 if status != 200:
                     validate_error_body(json.loads(json.dumps(body)))
-                    note(f"query {tenant} minsup={minsup} c={c_index} "
-                         f"options={options} -> {status} {body['code']}")
+                    note(f"{kind} {tenant} minsup={minsup} c={c_index} "
+                         f"fields={fields} -> {status} {body['code']}")
                     # Single-threaded driving can never fill the queue,
                     # and every tenant name resolves to a profile:
                     # rejection here means rate limiting or an
-                    # ill-typed option, nothing else.
+                    # ill-typed field, nothing else.
                     if status == 429:
                         assert body["code"] == "rate_limit"
                         assert tenant == "bob"
                     else:
                         assert status == 400 and body["code"] == "bad_request"
-                        assert options in ILL_TYPED
+                        assert fields in ILL_TYPED
                     continue
-                assert options not in ILL_TYPED
+                assert fields not in ILL_TYPED
                 answer = body["answer"]
                 serving = body["serving"]
-                note(f"query {tenant} minsup={minsup} c={c_index} "
-                     f"options={options} -> 200 "
+                note(f"{kind} {tenant} minsup={minsup} c={c_index} "
+                     f"fields={fields} -> 200 "
                      f"{answer['status']} source={serving['source']}")
                 if answer["status"] == "partial":
                     # Honest degradation: self-identified, attributed,
@@ -234,7 +282,8 @@ def test_random_server_workload_serves_no_wrong_answer(events, data):
                     continue
                 assert answer["status"] == "complete"
                 oracle = _cold_oracle(
-                    live_db.transactions, minsup, c_index, _defaulted(options)
+                    live_db.transactions, minsup, c_index,
+                    _defaulted(fields.get("options")),
                 )
                 assert answer == oracle, (tenant, minsup, c_index, serving)
                 if tenant in UNGUARDED:
